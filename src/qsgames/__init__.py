@@ -8,7 +8,4 @@ and its quantum variant, the security-game harnesses, and the concrete
 attacks that certify or break each construction.
 """
 
-from ._accel import BACKEND
-
-__all__ = ["BACKEND"]
 __version__ = "0.1.0"

@@ -1,33 +1,15 @@
-"""Hot numeric kernels with numba acceleration and a pure-NumPy fallback.
+"""Hot numeric kernels in NumPy and plain Python.
 
 The brute-force loops here (discrete log search, generator state
 recovery) dominate the runtime of the ORAM separation experiments.
-Each kernel has two implementations:
-
-  * a scalar loop compiled with ``numba.njit`` (default), and
-  * a vectorized / plain-Python fallback, selected by setting the
-    environment variable ``QSGAMES_NO_NUMBA=1`` before import.
-
-``BACKEND`` reports which path is active.  All moduli are capped at
-2**24 so every intermediate product fits comfortably in int64, and the
-state-recovery search runs off a cached table of g**x mod p.
+All moduli are capped at 2**24 so every intermediate product fits
+comfortably in int64, and the state-recovery search runs off a cached
+table of g**x mod p.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_USE_NUMBA = os.environ.get("QSGAMES_NO_NUMBA", "").strip() not in ("1", "true", "yes")
-
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        _USE_NUMBA = False
-
-BACKEND = "numba" if _USE_NUMBA else "numpy"
 
 DLOG_MODULUS_CAP = 1 << 24
 
@@ -63,127 +45,17 @@ def _pow_table(p: int, g: int) -> np.ndarray:
     return table
 
 
-# ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
-
-if _USE_NUMBA:
-
-    @njit(cache=True)
-    def _dlog_kernel(p, g, h):
-        x = 1
-        for e in range(p - 1):
-            if x == h:
-                return e
-            x = (x * g) % p
-        return -1
-
-    @njit(cache=True)
-    def _bm_stream_kernel(p, g, s, count, out):
-        half = (p - 1) // 2
-        for i in range(count):
-            s = _modpow(g, s, p)
-            out[i] = 1 if s < half else 0
-        return s
-
-    @njit(cache=True)
-    def _modpow(base, exp, mod):
-        result = 1
-        base = base % mod
-        while exp > 0:
-            if exp & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            exp >>= 1
-        return result
-
-    @njit(cache=True)
-    def _bm_recover_kernel(p, n_tag, n_tree, positions, expected, predict_pos, table):
-        # scan every admissible seed, stepping through the cached power
-        # table; reject on the first disagreeing truncated output
-        half = (p - 1) // 2
-        tree_mask = (1 << n_tree) - 1
-        n_obs = positions.shape[0]
-        last = predict_pos if predict_pos > positions[n_obs - 1] else positions[n_obs - 1]
-        for s0 in range(1, p):
-            s = s0
-            ok = True
-            obs_idx = 0
-            prediction = -1
-            for pos in range(last + 1):
-                val = 0
-                for _ in range(n_tag):
-                    s = table[s]
-                    val = (val << 1) | (1 if s < half else 0)
-                val &= tree_mask
-                if obs_idx < n_obs and positions[obs_idx] == pos:
-                    if val != expected[obs_idx]:
-                        ok = False
-                        break
-                    obs_idx += 1
-                if pos == predict_pos:
-                    prediction = val
-            if ok and obs_idx == n_obs:
-                return s0, prediction
-        return -1, -1
-
-else:
-
-    def _dlog_kernel(p, g, h):
-        x = 1
-        for e in range(p - 1):
-            if x == h:
-                return e
-            x = (x * g) % p
-        return -1
-
-    def _bm_stream_kernel(p, g, s, count, out):
-        half = (p - 1) // 2
-        for i in range(count):
-            s = pow(g, s, p)
-            out[i] = 1 if s < half else 0
-        return s
-
-    def _bm_recover_kernel(p, n_tag, n_tree, positions, expected, predict_pos, table):
-        half = (p - 1) // 2
-        tree_mask = (1 << n_tree) - 1
-        seeds = np.arange(1, p, dtype=np.int64)
-        states = seeds.copy()
-        alive = np.ones(seeds.shape[0], dtype=bool)
-        predictions = np.full(seeds.shape[0], -1, dtype=np.int64)
-        obs = dict(zip(positions.tolist(), expected.tolist()))
-        last = max(int(positions[-1]), int(predict_pos))
-        for pos in range(last + 1):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            vals = np.zeros(idx.size, dtype=np.int64)
-            st = states[idx]
-            for _ in range(n_tag):
-                st = table[st]
-                vals = (vals << 1) | (st < half)
-            states[idx] = st
-            vals &= tree_mask
-            if pos in obs:
-                alive[idx] = vals == obs[pos]
-            if pos == predict_pos:
-                predictions[idx] = vals
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            return -1, -1
-        return int(seeds[idx[0]]), int(predictions[idx[0]])
-
-
-# ---------------------------------------------------------------------------
-# public wrappers (shared signatures across backends)
-# ---------------------------------------------------------------------------
-
-
 def dlog_bruteforce_raw(p: int, g: int, h: int) -> int:
     """Smallest e >= 0 with g**e == h (mod p), or -1 if h is not in <g>."""
     if p > DLOG_MODULUS_CAP:
         raise ValueError(f"modulus {p} exceeds brute-force cap 2**24")
-    return int(_dlog_kernel(p, g, h % p))
+    h %= p
+    x = 1
+    for e in range(p - 1):
+        if x == h:
+            return e
+        x = (x * g) % p
+    return -1
 
 
 def bm_stream_bits(p: int, g: int, s: int, count: int) -> tuple[np.ndarray, int]:
@@ -193,8 +65,11 @@ def bm_stream_bits(p: int, g: int, s: int, count: int) -> tuple[np.ndarray, int]
     the state after step i+1.
     """
     out = np.zeros(count, dtype=np.int64)
-    final = int(_bm_stream_kernel(p, g, s, count, out))
-    return out, final
+    half = (p - 1) // 2
+    for i in range(count):
+        s = pow(g, s, p)
+        out[i] = 1 if s < half else 0
+    return out, int(s)
 
 
 def bm_recover_state(
@@ -218,17 +93,39 @@ def bm_recover_state(
         raise ValueError(f"modulus {p} exceeds brute-force cap 2**24")
     if not positions:
         return -1, -1
-    pos = np.asarray(positions, dtype=np.int64)
-    exp = np.asarray(expected, dtype=np.int64)
-    order = np.argsort(pos)
-    seed, prediction = _bm_recover_kernel(
-        p, n_tag, n_tree, pos[order], exp[order], predict_pos, _pow_table(p, g)
-    )
-    return int(seed), int(prediction)
+    table = _pow_table(p, g)
+    half = (p - 1) // 2
+    tree_mask = (1 << n_tree) - 1
+    # every admissible seed advances in lockstep through the power table;
+    # a seed drops out at its first disagreeing truncated output
+    seeds = np.arange(1, p, dtype=np.int64)
+    states = seeds.copy()
+    alive = np.ones(seeds.shape[0], dtype=bool)
+    predictions = np.full(seeds.shape[0], -1, dtype=np.int64)
+    obs = dict(zip(positions, expected))
+    for pos in range(max(max(positions), predict_pos) + 1):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        vals = np.zeros(idx.size, dtype=np.int64)
+        st = states[idx]
+        for _ in range(n_tag):
+            st = table[st]
+            vals = (vals << 1) | (st < half)
+        states[idx] = st
+        vals &= tree_mask
+        if pos in obs:
+            alive[idx] = vals == obs[pos]
+        if pos == predict_pos:
+            predictions[idx] = vals
+    idx = np.flatnonzero(alive)
+    if idx.size == 0:
+        return -1, -1
+    return int(seeds[idx[0]]), int(predictions[idx[0]])
 
 
 def warmup() -> None:
-    """Trigger JIT compilation so timed runs exclude compile cost."""
+    """Run each kernel once on a tiny group before timed sections."""
     dlog_bruteforce_raw(23, 5, 10)
     bits, _ = bm_stream_bits(23, 5, 3, 3)
     first = (int(bits[0]) << 2 | int(bits[1]) << 1 | int(bits[2])) & 3

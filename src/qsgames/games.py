@@ -320,6 +320,45 @@ def game_qind_qcpa(scheme, adversary, rand, **kw):
 # ---------------------------------------------------------------------------
 
 
+def _access_pattern_game(factory, access, adversary, rand: Rand, q1_max: int, q2_max: int,
+                         forced_b: int | None) -> int:
+    """Two learning phases of adversarial requests around one challenge
+    access; `access(client, server, request)` performs a request and
+    returns the adversary's view of it."""
+    client, server = factory(rand)
+    adversary.begin(rand, client.params)
+
+    def learn(next_request, budget: int, view, which: str):
+        for _ in range(budget):
+            request = next_request(view)
+            if request is None:
+                return view
+            view = access(client, server, request)
+        if next_request(view) is not None:
+            raise GameProtocolError(f"{which} learning phase exceeded its budget")
+        return view
+
+    view = learn(adversary.phase1_request, q1_max, None, "first")
+    r0, r1 = adversary.challenge()
+    for request in (r0, r1):
+        if not 1 <= request.id <= client.params.n_db:
+            raise GameProtocolError("challenge request uses an invalid id")
+    b = rand.coin() if forced_b is None else forced_b
+    view = access(client, server, r1 if b else r0)
+    learn(adversary.phase2_request, q2_max, view, "second")
+    return int(adversary.output() == b)
+
+
+def _oram_view(client, server, dr) -> AccessPattern:
+    return oram_access(client, server, dr)[2]
+
+
+def _qoram_view(client, server, qdr) -> dict:
+    pre = safe_extractor_default(None, server)
+    _, _, transcript = qoram_access(client, server, qdr)
+    return {"pre": pre, "post": safe_extractor_default(transcript, server)}
+
+
 def game_ap_ind_cqa(oram_factory, adversary, rand: Rand, q1_max: int = 64, q2_max: int = 8,
                     forced_b: int | None = None) -> int:
     """Adaptive access-pattern indistinguishability for an ORAM.
@@ -327,36 +366,7 @@ def game_ap_ind_cqa(oram_factory, adversary, rand: Rand, q1_max: int = 64, q2_ma
     The adversary drives two learning phases of chosen data requests
     around one challenge access; views are full access patterns.
     """
-    client, server = oram_factory(rand)
-    adversary.begin(rand, client.params)
-
-    view: AccessPattern | None = None
-    for _ in range(q1_max):
-        dr = adversary.phase1_request(view)
-        if dr is None:
-            break
-        _, _, view = oram_access(client, server, dr)
-    else:
-        if adversary.phase1_request(view) is not None:
-            raise GameProtocolError("first learning phase exceeded its budget")
-
-    dr0, dr1 = adversary.challenge()
-    for dr in (dr0, dr1):
-        if not 1 <= dr.id <= client.params.n_db:
-            raise GameProtocolError("challenge request uses an invalid id")
-    b = rand.coin() if forced_b is None else forced_b
-    _, _, view = oram_access(client, server, dr1 if b else dr0)
-
-    for _ in range(q2_max):
-        dr = adversary.phase2_request(view)
-        if dr is None:
-            break
-        _, _, view = oram_access(client, server, dr)
-    else:
-        if adversary.phase2_request(view) is not None:
-            raise GameProtocolError("second learning phase exceeded its budget")
-
-    return int(adversary.output() == b)
+    return _access_pattern_game(oram_factory, _oram_view, adversary, rand, q1_max, q2_max, forced_b)
 
 
 def game_qap_ind_cqa(qoram_factory, adversary, rand: Rand, q1_max: int = 32, q2_max: int = 8,
@@ -364,39 +374,7 @@ def game_qap_ind_cqa(qoram_factory, adversary, rand: Rand, q1_max: int = 32, q2_
     """Quantum access-pattern game; views come from the default safe
     extractor run before and after each access, and the unchosen
     challenge payload is discarded."""
-    client, server = qoram_factory(rand)
-    adversary.begin(rand, client.params)
-
-    view = None
-    for _ in range(q1_max):
-        qdr = adversary.phase1_request(view)
-        if qdr is None:
-            break
-        pre = safe_extractor_default(None, server)
-        _, _, transcript = qoram_access(client, server, qdr)
-        view = {"pre": pre, "post": safe_extractor_default(transcript, server)}
-    else:
-        if adversary.phase1_request(view) is not None:
-            raise GameProtocolError("first learning phase exceeded its budget")
-
-    qdr0, qdr1 = adversary.challenge()
-    b = rand.coin() if forced_b is None else forced_b
-    pre = safe_extractor_default(None, server)
-    _, _, transcript = qoram_access(client, server, qdr1 if b else qdr0)
-    view = {"pre": pre, "post": safe_extractor_default(transcript, server)}
-
-    for _ in range(q2_max):
-        qdr = adversary.phase2_request(view)
-        if qdr is None:
-            break
-        pre = safe_extractor_default(None, server)
-        _, _, transcript = qoram_access(client, server, qdr)
-        view = {"pre": pre, "post": safe_extractor_default(transcript, server)}
-    else:
-        if adversary.phase2_request(view) is not None:
-            raise GameProtocolError("second learning phase exceeded its budget")
-
-    return int(adversary.output() == b)
+    return _access_pattern_game(qoram_factory, _qoram_view, adversary, rand, q1_max, q2_max, forced_b)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ up toward the root, then the stash).
 
 The SKES and the position-map generator are pluggable; the generator
 choice is exactly what the separation experiments attack.
+
+tree_init and tree_access hold the protocol for both ORAMs; a block
+codec (SkesCodec here, qoram.QuantumCodec) supplies the block format.
 """
 
 from __future__ import annotations
@@ -65,13 +68,14 @@ def _default_skes(params: OramParams) -> GoldreichScheme:
 
 class ServerDB:
     """Complete binary tree of height n_tree; heap-indexed nodes, each a
-    bucket of exactly n_bkt blocks (empties included)."""
+    bucket of exactly n_bkt blocks (empties included).  snapshot() and
+    digest() read SKES ciphertexts; the quantum tree overrides digest()."""
 
     def __init__(self, n_tree: int, n_bkt: int):
         self.n_tree = n_tree
         self.n_bkt = n_bkt
         self.node_count = (1 << (n_tree + 1)) - 1
-        self.nodes: list[list[Ciphertext]] = [[] for _ in range(self.node_count)]
+        self.nodes: list[list] = [[] for _ in range(self.node_count)]
 
     def path_nodes(self, leaf: int) -> list[int]:
         """Heap indices from the root down to the given leaf."""
@@ -150,30 +154,38 @@ class ClientState:
         return leaf
 
 
-def oram_init(params: OramParams, rand: Rand, prng=None, skes=None):
-    """Set up a fresh client/server pair with an all-empty encrypted tree."""
-    skes = skes or _default_skes(params)
-    key = skes.key_gen(rand)
-    prng = prng or CounterPrfPrng(rand.child())
-    client = ClientState(params, key, {}, prng, rand.child(), skes)
-    for i in range(1, params.n_db + 1):
+class SkesCodec:
+    """Blocks as SKES ciphertexts of the bit string (tag || data)."""
+
+    def __init__(self, client: ClientState):
+        self._client = client
+        self._zero_msg = BitString.zeros(client.params.n_msg)
+
+    def encode(self, tag: int, data: BitString) -> Ciphertext:
+        c = self._client
+        msg = BitString(tag, c.params.n_tag).concat(data)
+        return c.skes.enc(c.key, msg, rand=c.rand)
+
+    def empty(self) -> Ciphertext:
+        c = self._client
+        return c.skes.enc(c.key, self._zero_msg, rand=c.rand)
+
+    def decode(self, block: Ciphertext):
+        c = self._client
+        msg = c.skes.dec(c.key, block)
+        return msg.take(c.params.n_tag).value, msg.drop(c.params.n_tag)
+
+    @staticmethod
+    def view(blocks) -> tuple:
+        return tuple((c.body.value, c.r.value) for c in blocks)
+
+
+def tree_init(client, server: ServerDB, codec) -> None:
+    """Map every id to a fresh leaf, then fill the tree with encrypted empties."""
+    for i in range(1, client.params.n_db + 1):
         client.position_map[i] = client.fresh_leaf()
-    server = ServerDB(params.n_tree, params.n_bkt)
-    zero_msg = BitString.zeros(params.n_msg)
     for idx in range(server.node_count):
-        server.nodes[idx] = [
-            skes.enc(key, zero_msg, rand=client.rand) for _ in range(params.n_bkt)
-        ]
-    return client, server
-
-
-def _decode(client: ClientState, block: Ciphertext):
-    msg = client.skes.dec(client.key, block)
-    tag = msg.take(client.params.n_tag).value
-    data = msg.drop(client.params.n_tag)
-    if tag > client.params.n_db:
-        raise ProtocolAbort(f"block decodes to invalid tag {tag}")
-    return tag, data
+        server.nodes[idx] = [codec.empty() for _ in range(server.n_bkt)]
 
 
 def _common_depth(a: int, b: int, n_tree: int) -> int:
@@ -184,54 +196,42 @@ def _common_depth(a: int, b: int, n_tree: int) -> int:
     return 0
 
 
-def oram_access(client: ClientState, server: ServerDB, dr: DataRequest):
-    """One read/write exchange; returns (client, server, AccessPattern)."""
-    params = client.params
-    if not 1 <= dr.id <= params.n_db:
-        raise ValueError(f"id {dr.id} outside 1..{params.n_db}")
-    if dr.data is not None and dr.data.width != params.n_dat:
-        raise ValueError("data width mismatch")
+def tree_access(client, server: ServerDB, codec, rid: int, step):
+    """The access protocol both ORAMs share; returns (leaf, down, up).
 
-    pre = server.snapshot()
-    leaf = client.position_map[dr.id]
+    `step(target)` performs the variant's read/write on the target
+    record ([tag, data], from the branch or the stash, or None when the
+    id was never stored) and returns a new record to store, or None.
+    """
+    params = client.params
+    if not 1 <= rid <= params.n_db:
+        raise ValueError(f"id {rid} outside 1..{params.n_db}")
+    leaf = client.position_map[rid]
     path = server.path_nodes(leaf)
-    down = tuple(
-        (c.body.value, c.r.value) for idx in path for c in server.nodes[idx]
-    )
+    down = codec.view([b for idx in path for b in server.nodes[idx]])
 
     # fresh remap before touching the branch
-    client.position_map[dr.id] = client.fresh_leaf()
+    client.position_map[rid] = client.fresh_leaf()
 
-    # decrypt the branch leaf-to-root, slots ascending (eviction order)
+    # decode the branch leaf-to-root, slots ascending (eviction order)
     records: list[list] = []
     for idx in reversed(path):
         for block in server.nodes[idx]:
-            tag, data = _decode(client, block)
+            tag, data = codec.decode(block)
+            if tag > params.n_db:
+                raise ProtocolAbort(f"block decodes to invalid tag {tag}")
             if tag != 0:
                 records.append([tag, data])
 
-    target = next((rec for rec in records if rec[0] == dr.id), None)
-    stash_target = None
+    target = next((rec for rec in records if rec[0] == rid), None)
     if target is None:
-        stash_target = next((rec for rec in client.stash if rec[0] == dr.id), None)
-
-    if dr.op == "read":
-        if target is not None:
-            client.last_read = target[1]
-        elif stash_target is not None:
-            client.last_read = stash_target[1]
-        else:
-            client.last_read = BitString.zeros(params.n_dat)
-    else:
-        if target is not None:
-            target[1] = dr.data
-        elif stash_target is not None:
-            stash_target[1] = dr.data
-        else:
-            records.append([dr.id, dr.data])
+        target = next((rec for rec in client.stash if rec[0] == rid), None)
+    new_record = step(target)
+    if new_record is not None:
+        records.append(new_record)
 
     # eviction: branch records first, then the stash re-examination
-    queue = records + [rec for rec in client.stash]
+    queue = records + client.stash
     capacity = {idx: params.n_bkt for idx in path}
     placed: dict[int, list] = {idx: [] for idx in path}
     new_stash = []
@@ -248,21 +248,46 @@ def oram_access(client: ClientState, server: ServerDB, dr: DataRequest):
             capacity[node] -= 1
             placed[node].append(rec)
     client.stash = new_stash
-    client.stash_history.append(len(new_stash))
 
-    zero_msg = BitString.zeros(params.n_msg)
     for idx in path:
-        bucket = []
-        for tag, data in placed[idx]:
-            msg = BitString(tag, params.n_tag).concat(data)
-            bucket.append(client.skes.enc(client.key, msg, rand=client.rand))
-        while len(bucket) < params.n_bkt:
-            bucket.append(client.skes.enc(client.key, zero_msg, rand=client.rand))
+        bucket = [codec.encode(tag, data) for tag, data in placed[idx]]
+        bucket += [codec.empty() for _ in range(params.n_bkt - len(bucket))]
         server.nodes[idx] = bucket
 
-    up = tuple((c.body.value, c.r.value) for idx in path for c in server.nodes[idx])
-    post = server.snapshot()
-    return client, server, AccessPattern(pre, Transcript(leaf, down, up), post)
+    up = codec.view([b for idx in path for b in server.nodes[idx]])
+    return leaf, down, up
+
+
+def oram_init(params: OramParams, rand: Rand, prng=None, skes=None):
+    """Set up a fresh client/server pair with an all-empty encrypted tree."""
+    skes = skes or _default_skes(params)
+    key = skes.key_gen(rand)
+    prng = prng or CounterPrfPrng(rand.child())
+    client = ClientState(params, key, {}, prng, rand.child(), skes)
+    server = ServerDB(params.n_tree, params.n_bkt)
+    tree_init(client, server, SkesCodec(client))
+    return client, server
+
+
+def oram_access(client: ClientState, server: ServerDB, dr: DataRequest):
+    """One read/write exchange; returns (client, server, AccessPattern)."""
+    params = client.params
+    if dr.data is not None and dr.data.width != params.n_dat:
+        raise ValueError("data width mismatch")
+
+    def read_write(target):
+        if dr.op == "read":
+            client.last_read = target[1] if target is not None else BitString.zeros(params.n_dat)
+        elif target is not None:
+            target[1] = dr.data
+        else:
+            return [dr.id, dr.data]
+        return None
+
+    pre = server.snapshot()
+    leaf, down, up = tree_access(client, server, SkesCodec(client), dr.id, read_write)
+    client.stash_history.append(len(client.stash))
+    return client, server, AccessPattern(pre, Transcript(leaf, down, up), server.snapshot())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import BitString
-from .rng import Rand
 
 _M64 = (1 << 64) - 1
 
@@ -210,9 +209,4 @@ def sample_ideal_qprp(key: BitString, domain_bits: int, cap: int = QPRP_DOMAIN_C
     seed_material = _hash_bits(key, b"qprp", 256)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_material.value)))
     fwd = gen.permutation(1 << domain_bits).astype(np.int64)
-    return Permutation(domain_bits, fwd)
-
-
-def random_permutation(rand: Rand, domain_bits: int) -> Permutation:
-    fwd = rand.numpy().permutation(1 << domain_bits).astype(np.int64)
     return Permutation(domain_bits, fwd)

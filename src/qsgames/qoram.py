@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import BitString
-from .oram import OramParams, ProtocolAbort, fnv1a64
+from .oram import OramParams, ServerDB, fnv1a64, tree_access, tree_init
 from .qscheme import QCiphertext, Skqes1Scheme
-from .quantum import DensityMatrix, measure_computational, partial_trace, trace_distance
+from .quantum import DensityMatrix, measure_computational, partial_trace
 from .rng import CounterPrfPrng, Rand
 
 
@@ -54,22 +54,9 @@ class QuantumBlock:
         return h.hexdigest()
 
 
-class QServerDB:
-    def __init__(self, n_tree: int, n_bkt: int):
-        self.n_tree = n_tree
-        self.n_bkt = n_bkt
-        self.node_count = (1 << (n_tree + 1)) - 1
-        self.nodes: list[list[QuantumBlock]] = [[] for _ in range(self.node_count)]
-
-    def path_nodes(self, leaf: int) -> list[int]:
-        idx = (1 << self.n_tree) - 1 + leaf
-        path = []
-        while True:
-            path.append(idx)
-            if idx == 0:
-                break
-            idx = (idx - 1) // 2
-        return path[::-1]
+class QServerDB(ServerDB):
+    """The shared tree, holding QuantumBlocks; digests hash the
+    ciphertext registers."""
 
     def digest(self) -> int:
         payload = "".join(b.digest() for bucket in self.nodes for b in bucket)
@@ -103,10 +90,30 @@ def _zero_data(params: OramParams) -> DensityMatrix:
     return DensityMatrix.basis(params.n_dat, 0)
 
 
-def _encode_block(client: QClientState, tag: int, data: DensityMatrix) -> QuantumBlock:
-    tag_dm = DensityMatrix.basis(client.params.n_tag, tag)
-    plain = tag_dm.tensor(data)
-    return QuantumBlock(client.scheme.enc(client.key, plain, rand=client.rand))
+class QuantumCodec:
+    """Blocks as quantum ciphertexts of (tag register || data register);
+    decoding measures only the tag qubits."""
+
+    def __init__(self, client: QClientState):
+        self._client = client
+
+    def encode(self, tag: int, data: DensityMatrix) -> QuantumBlock:
+        c = self._client
+        plain = DensityMatrix.basis(c.params.n_tag, tag).tensor(data)
+        return QuantumBlock(c.scheme.enc(c.key, plain, rand=c.rand))
+
+    def empty(self) -> QuantumBlock:
+        return self.encode(0, _zero_data(self._client.params))
+
+    def decode(self, block: QuantumBlock):
+        c = self._client
+        plain = c.scheme.dec(c.key, block.cipher)
+        tag_bits, post = measure_computational(plain, list(range(c.params.n_tag)), c.rand)
+        return tag_bits.value, partial_trace(post, list(range(c.params.n_tag, c.params.n_msg)))
+
+    @staticmethod
+    def view(blocks) -> tuple:
+        return tuple(b.digest() for b in blocks)
 
 
 def qoram_init(params: OramParams, rand: Rand, prng=None, scheme: Skqes1Scheme | None = None):
@@ -115,21 +122,9 @@ def qoram_init(params: OramParams, rand: Rand, prng=None, scheme: Skqes1Scheme |
     key = scheme.key_gen(rand)
     prng = prng or CounterPrfPrng(rand.child())
     client = QClientState(params, key, {}, prng, rand.child(), scheme)
-    for i in range(1, params.n_db + 1):
-        client.position_map[i] = client.fresh_leaf()
     server = QServerDB(params.n_tree, params.n_bkt)
-    for idx in range(server.node_count):
-        server.nodes[idx] = [
-            _encode_block(client, 0, _zero_data(params)) for _ in range(params.n_bkt)
-        ]
+    tree_init(client, server, QuantumCodec(client))
     return client, server
-
-
-def _common_depth(a: int, b: int, n_tree: int) -> int:
-    for d in range(n_tree, -1, -1):
-        if (a >> (n_tree - d)) == (b >> (n_tree - d)):
-            return d
-    return 0
 
 
 def qoram_access(client: QClientState, server: QServerDB, qdr: QuantumDataRequest):
@@ -137,75 +132,20 @@ def qoram_access(client: QClientState, server: QServerDB, qdr: QuantumDataReques
     re-encrypt fresh, evict, upload.  Returns (client, server, QTranscript).
     """
     params = client.params
-    if not 1 <= qdr.id <= params.n_db:
-        raise ValueError(f"id {qdr.id} outside 1..{params.n_db}")
     payload = qdr.payload if qdr.payload is not None else _zero_data(params)
     if payload.n_qubits != params.n_dat:
         raise ValueError("payload register width mismatch")
 
-    leaf = client.position_map[qdr.id]
-    path = server.path_nodes(leaf)
-    down = tuple(b.digest() for idx in path for b in server.nodes[idx])
-    client.position_map[qdr.id] = client.fresh_leaf()
+    def swap(target):
+        if target is None:
+            # the id has never been stored: take over an empty block, which
+            # amounts to swapping with its |0> data register
+            client.retrieved = _zero_data(params)
+            return [qdr.id, payload]
+        target[1], client.retrieved = payload, target[1]
+        return None
 
-    # decrypt, measure tags only, swap on match; leaf-to-root order
-    records: list[list] = []
-    swapped = False
-    for idx in reversed(path):
-        for block in server.nodes[idx]:
-            plain = client.scheme.dec(client.key, block.cipher)
-            tag_bits, post = measure_computational(
-                plain, list(range(params.n_tag)), client.rand
-            )
-            tag = tag_bits.value
-            if tag > params.n_db:
-                raise ProtocolAbort(f"tag measurement produced invalid id {tag}")
-            data = partial_trace(post, list(range(params.n_tag, params.n_msg)))
-            if tag == 0:
-                continue
-            if tag == qdr.id and not swapped:
-                data, payload = payload, data
-                swapped = True
-            records.append([tag, data])
-
-    if not swapped:
-        for rec in client.stash:
-            if rec[0] == qdr.id:
-                rec[1], payload = payload, rec[1]
-                swapped = True
-                break
-    if not swapped:
-        # the id has never been stored: take over an empty block, which
-        # amounts to swapping with its |0> data register
-        records.append([qdr.id, payload])
-        payload = _zero_data(params)
-    client.retrieved = payload
-
-    queue = records + list(client.stash)
-    capacity = {idx: params.n_bkt for idx in path}
-    placed: dict[int, list] = {idx: [] for idx in path}
-    new_stash = []
-    for rec in queue:
-        depth = _common_depth(leaf, client.position_map[rec[0]], params.n_tree)
-        node = None
-        for d in range(depth, -1, -1):
-            if capacity[path[d]] > 0:
-                node = path[d]
-                break
-        if node is None:
-            new_stash.append(rec)
-        else:
-            capacity[node] -= 1
-            placed[node].append(rec)
-    client.stash = new_stash
-
-    for idx in path:
-        bucket = [_encode_block(client, tag, data) for tag, data in placed[idx]]
-        while len(bucket) < params.n_bkt:
-            bucket.append(_encode_block(client, 0, _zero_data(params)))
-        server.nodes[idx] = bucket
-
-    up = tuple(b.digest() for idx in path for b in server.nodes[idx])
+    leaf, down, up = tree_access(client, server, QuantumCodec(client), qdr.id, swap)
     return client, server, QTranscript(leaf, down, up)
 
 
@@ -229,7 +169,3 @@ def safe_extractor_default(transcript: QTranscript | None, server: QServerDB) ->
 def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True)
 
-
-def payload_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """1 - trace distance, exact for the pure-state roundtrips tested."""
-    return 1.0 - trace_distance(a, b)

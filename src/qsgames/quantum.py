@@ -124,10 +124,6 @@ class DensityMatrix:
             raise ValueError("matrix is not positive semidefinite")
 
     @classmethod
-    def from_statevector(cls, sv: StateVector) -> "DensityMatrix":
-        return sv.density()
-
-    @classmethod
     def basis(cls, n_qubits: int, index: int) -> "DensityMatrix":
         dim = 1 << n_qubits
         mat = np.zeros((dim, dim), dtype=complex)
@@ -158,9 +154,6 @@ class DensityMatrix:
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         return DensityMatrix(self.n_qubits + other.n_qubits, np.kron(self.mat, other.mat), check=False)
-
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
 
 
 def maximally_mixed(n_qubits: int) -> DensityMatrix:
@@ -480,8 +473,15 @@ def _pick_outcome(probs: np.ndarray, rand: Rand, force: int | None) -> int:
         if probs[force] / total < 1e-12:
             raise ValueError("forced branch has zero probability")
         return force
-    u = rand.numpy().random() * total
-    return int(np.searchsorted(np.cumsum(probs), u))
+    # draw against the last cumulative sum, which can fall short of
+    # probs.sum(); the right-side search never lands on a zero weight
+    cum = np.cumsum(probs)
+    u = rand.numpy().random() * cum[-1]
+    idx = int(np.searchsorted(cum, u, side="right"))
+    if idx < len(probs):
+        return idx
+    # u rounded up to the top: take the last outcome with weight
+    return int(np.flatnonzero(probs > 0)[-1])
 
 
 # ---------------------------------------------------------------------------

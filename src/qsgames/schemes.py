@@ -169,16 +169,6 @@ class GoldreichScheme:
         return Permutation.xor_mask(pad.value, self.msg_bits), self.msg_bits
 
 
-def skes_goldreich_enc(key, m, rand=None, r=None, scheme: GoldreichScheme = None) -> Ciphertext:
-    scheme = scheme or GoldreichScheme(m.width)
-    return scheme.enc(key, m, rand=rand, r=r)
-
-
-def skes_goldreich_dec(key, c, scheme: GoldreichScheme = None) -> BitString:
-    scheme = scheme or GoldreichScheme(c.body.width)
-    return scheme.dec(key, c)
-
-
 # ---------------------------------------------------------------------------
 # permutation-based scheme and its blockwise mode
 # ---------------------------------------------------------------------------

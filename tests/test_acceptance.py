@@ -1,8 +1,8 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
 Each test prints one [PASS]/[FAIL] line (visible with pytest -s and in
-failure output).  Runtime budgets are asserted with the JIT already
-warmed, so compile time is excluded from the timed sections.
+failure output).  Runtime budgets are asserted with the kernels
+already warmed, so first-call costs are excluded from the timed sections.
 """
 
 import time

@@ -292,6 +292,30 @@ class TestApGameBudgets:
         with pytest.raises(GameProtocolError):
             games.game_ap_ind_cqa(factory, BadChallenge(), Rand(16))
 
+    def test_quantum_invalid_challenge_id_rejected(self):
+        from qsgames.oram import OramParams
+        from qsgames.qoram import QuantumDataRequest, qoram_init
+
+        class BadChallenge:
+            def begin(self, rand, params):
+                pass
+
+            def phase1_request(self, view):
+                return None
+
+            def challenge(self):
+                return QuantumDataRequest("read", 1), QuantumDataRequest("read", 9)
+
+            def phase2_request(self, view):
+                return None
+
+            def output(self):
+                return 0
+
+        factory = lambda r: qoram_init(OramParams(n_db=2, n_dat=1), r)
+        with pytest.raises(GameProtocolError):
+            games.game_qap_ind_cqa(factory, BadChallenge(), Rand(16), forced_b=0)
+
     def test_identical_challenge_requests_have_exactly_zero_advantage(self):
         from qsgames.oram import DataRequest, OramParams, oram_init
 

@@ -9,6 +9,7 @@ from qsgames.quantum import (
     DensityMatrix,
     StateVector,
     UnitaryOp,
+    _pick_outcome,
     apply_gate,
     apply_unitary,
     avg_perm_channel,
@@ -270,6 +271,40 @@ class TestMeasurement:
         out_fwd, _ = measure_computational(sv, [0, 1], Rand(15))
         out_rev, _ = measure_computational(sv, [1, 0], Rand(15))
         assert out_fwd.value == 0b01 and out_rev.value == 0b10
+
+
+class _FixedDraw:
+    """Stands in for Rand: every uniform draw returns the same value."""
+
+    def __init__(self, u):
+        self._u = u
+
+    def numpy(self):
+        return self
+
+    def random(self):
+        return self._u
+
+
+class TestPickOutcome:
+    def test_draw_just_below_one_stays_in_range(self):
+        # outcome vectors whose running sum ends below their total, far
+        # enough that a draw just below 1 lands past the last entry
+        gen = np.random.default_rng(0)
+        top = np.nextafter(1.0, 0.0)
+        short = [
+            p for p in (gen.random(16) for _ in range(2000))
+            if top * p.sum() > np.cumsum(p)[-1]
+        ]
+        assert short
+        for probs in short:
+            idx = _pick_outcome(probs, _FixedDraw(top), None)
+            assert idx < len(probs) and probs[idx] > 0
+
+    def test_zero_weight_ends_are_never_picked(self):
+        probs = np.array([0.0, 0.5, 0.5, 0.0])
+        assert _pick_outcome(probs, _FixedDraw(0.0), None) == 1
+        assert _pick_outcome(probs, _FixedDraw(np.nextafter(1.0, 0.0)), None) == 2
 
 
 class TestQotp:
