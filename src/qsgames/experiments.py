@@ -34,8 +34,12 @@ class ExperimentDef:
 
     def run(self, trials: int | None = None, seed: int | None = None,
             overrides: dict | None = None) -> tuple[games.ExperimentResult, bool]:
-        params = dict(self.defaults)
-        params.update(overrides or {})
+        overrides = overrides or {}
+        unknown = sorted(set(overrides) - set(self.defaults))
+        if unknown:
+            raise ValueError(f"unknown parameter(s) {', '.join(unknown)}; "
+                             f"{self.name} takes {', '.join(sorted(self.defaults))}")
+        params = {**self.defaults, **overrides}
         trials = int(params.pop("trials")) if trials is None else trials
         seed = int(params.pop("seed")) if seed is None else seed
         params.pop("trials", None)
@@ -305,6 +309,8 @@ register(
 
 
 def _run_qind_identical(trials, seed, p):
+    if trials < 2:
+        raise ValueError("qind-identical-arms needs at least 2 trials to pair the challenge bits")
     lift = qscheme.Type2LiftScheme(schemes.GoldreichScheme(p["m"]))
     adv = attacks.hadamard_distinguisher(p["m"])
 

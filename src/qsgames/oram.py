@@ -13,6 +13,11 @@ choice is exactly what the separation experiments attack.
 
 tree_init and tree_access hold the protocol for both ORAMs; a block
 codec (SkesCodec here, qoram.QuantumCodec) supplies the block format.
+
+The server computes each bucket's view (what an observer of the
+server sees of it) once, when the bucket is stored.  Snapshots, the
+transcript's down/up views and the tree digest are read off the
+stored views, so an access costs O(path) rather than O(tree).
 """
 
 from __future__ import annotations
@@ -68,14 +73,25 @@ def _default_skes(params: OramParams) -> GoldreichScheme:
 
 class ServerDB:
     """Complete binary tree of height n_tree; heap-indexed nodes, each a
-    bucket of exactly n_bkt blocks (empties included).  snapshot() and
-    digest() read SKES ciphertexts; the quantum tree overrides digest()."""
+    bucket (a tuple) of exactly n_bkt blocks, empties included.
+
+    views[idx] is the codec's view of nodes[idx], computed when the
+    bucket is stored; store() is the only writer, so the two lists never
+    disagree.  snapshot() and digest() read the views alone.
+    """
 
     def __init__(self, n_tree: int, n_bkt: int):
         self.n_tree = n_tree
         self.n_bkt = n_bkt
         self.node_count = (1 << (n_tree + 1)) - 1
-        self.nodes: list[list] = [[] for _ in range(self.node_count)]
+        self.nodes: list[tuple] = [()] * self.node_count
+        self.views: list[tuple] = [()] * self.node_count
+        self._digest: int | None = None
+
+    def store(self, idx: int, bucket: tuple, view: tuple) -> None:
+        self.nodes[idx] = bucket
+        self.views[idx] = view
+        self._digest = None
 
     def path_nodes(self, leaf: int) -> list[int]:
         """Heap indices from the root down to the given leaf."""
@@ -88,13 +104,20 @@ class ServerDB:
             idx = (idx - 1) // 2
         return path[::-1]
 
+    def path_view(self, path: list[int]) -> tuple:
+        """The stored block views along a path, in path order."""
+        return tuple(v for idx in path for v in self.views[idx])
+
     def snapshot(self) -> tuple:
-        return tuple(
-            tuple((c.body.value, c.r.value) for c in bucket) for bucket in self.nodes
-        )
+        return tuple(self.views)
 
     def digest(self) -> int:
-        return fnv1a64(str(self.snapshot()).encode())
+        """FNV-1a over every block view in heap order, memoized until
+        the next store."""
+        if self._digest is None:
+            joined = "".join(str(v) for view in self.views for v in view)
+            self._digest = fnv1a64(joined.encode())
+        return self._digest
 
 
 def fnv1a64(data: bytes) -> int:
@@ -185,7 +208,8 @@ def tree_init(client, server: ServerDB, codec) -> None:
     for i in range(1, client.params.n_db + 1):
         client.position_map[i] = client.fresh_leaf()
     for idx in range(server.node_count):
-        server.nodes[idx] = [codec.empty() for _ in range(server.n_bkt)]
+        bucket = tuple(codec.empty() for _ in range(server.n_bkt))
+        server.store(idx, bucket, codec.view(bucket))
 
 
 def _common_depth(a: int, b: int, n_tree: int) -> int:
@@ -208,7 +232,7 @@ def tree_access(client, server: ServerDB, codec, rid: int, step):
         raise ValueError(f"id {rid} outside 1..{params.n_db}")
     leaf = client.position_map[rid]
     path = server.path_nodes(leaf)
-    down = codec.view([b for idx in path for b in server.nodes[idx]])
+    down = server.path_view(path)
 
     # fresh remap before touching the branch
     client.position_map[rid] = client.fresh_leaf()
@@ -250,12 +274,11 @@ def tree_access(client, server: ServerDB, codec, rid: int, step):
     client.stash = new_stash
 
     for idx in path:
-        bucket = [codec.encode(tag, data) for tag, data in placed[idx]]
-        bucket += [codec.empty() for _ in range(params.n_bkt - len(bucket))]
-        server.nodes[idx] = bucket
+        bucket = tuple(codec.encode(tag, data) for tag, data in placed[idx])
+        bucket += tuple(codec.empty() for _ in range(params.n_bkt - len(bucket)))
+        server.store(idx, bucket, codec.view(bucket))
 
-    up = codec.view([b for idx in path for b in server.nodes[idx]])
-    return leaf, down, up
+    return leaf, down, server.path_view(path)
 
 
 def oram_init(params: OramParams, rand: Rand, prng=None, skes=None):

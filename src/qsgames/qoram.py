@@ -11,6 +11,10 @@ ever copied.
 Blocks are simulated one density matrix at a time, which is exact
 because encryption acts blockwise and the tree holds no cross-block
 entanglement.
+
+A block's view is its ciphertext digest, taken once when the server
+stores it; the tree digest is FNV-1a over the stored digests and is
+recomputed only after a store.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import BitString
-from .oram import OramParams, ServerDB, fnv1a64, tree_access, tree_init
+from .oram import OramParams, ServerDB, tree_access, tree_init
 from .qscheme import QCiphertext, Skqes1Scheme
 from .quantum import DensityMatrix, measure_computational, partial_trace
 from .rng import CounterPrfPrng, Rand
@@ -52,15 +56,6 @@ class QuantumBlock:
         h = hashlib.blake2b(rounded.tobytes(), digest_size=8)
         h.update(self.cipher.r.to_hex().encode())
         return h.hexdigest()
-
-
-class QServerDB(ServerDB):
-    """The shared tree, holding QuantumBlocks; digests hash the
-    ciphertext registers."""
-
-    def digest(self) -> int:
-        payload = "".join(b.digest() for bucket in self.nodes for b in bucket)
-        return fnv1a64(payload.encode())
 
 
 @dataclass
@@ -96,6 +91,7 @@ class QuantumCodec:
 
     def __init__(self, client: QClientState):
         self._client = client
+        self._empty_plain = DensityMatrix.basis(client.params.n_msg, 0)
 
     def encode(self, tag: int, data: DensityMatrix) -> QuantumBlock:
         c = self._client
@@ -103,12 +99,18 @@ class QuantumCodec:
         return QuantumBlock(c.scheme.enc(c.key, plain, rand=c.rand))
 
     def empty(self) -> QuantumBlock:
-        return self.encode(0, _zero_data(self._client.params))
+        c = self._client
+        return QuantumBlock(c.scheme.enc(c.key, self._empty_plain, rand=c.rand))
 
     def decode(self, block: QuantumBlock):
+        """(tag, data register); an empty block's data is never used, so
+        it is not traced out.  The tag is always measured, since the
+        measurement draws from the client's randomness."""
         c = self._client
         plain = c.scheme.dec(c.key, block.cipher)
         tag_bits, post = measure_computational(plain, list(range(c.params.n_tag)), c.rand)
+        if tag_bits.value == 0:
+            return 0, None
         return tag_bits.value, partial_trace(post, list(range(c.params.n_tag, c.params.n_msg)))
 
     @staticmethod
@@ -122,12 +124,12 @@ def qoram_init(params: OramParams, rand: Rand, prng=None, scheme: Skqes1Scheme |
     key = scheme.key_gen(rand)
     prng = prng or CounterPrfPrng(rand.child())
     client = QClientState(params, key, {}, prng, rand.child(), scheme)
-    server = QServerDB(params.n_tree, params.n_bkt)
+    server = ServerDB(params.n_tree, params.n_bkt)
     tree_init(client, server, QuantumCodec(client))
     return client, server
 
 
-def qoram_access(client: QClientState, server: QServerDB, qdr: QuantumDataRequest):
+def qoram_access(client: QClientState, server: ServerDB, qdr: QuantumDataRequest):
     """One access: tag-measure each branch block, swap payloads on match,
     re-encrypt fresh, evict, upload.  Returns (client, server, QTranscript).
     """
@@ -154,7 +156,7 @@ def qoram_access(client: QClientState, server: QServerDB, qdr: QuantumDataReques
 # ---------------------------------------------------------------------------
 
 
-def safe_extractor_default(transcript: QTranscript | None, server: QServerDB) -> dict:
+def safe_extractor_default(transcript: QTranscript | None, server: ServerDB) -> dict:
     """Identity-action extractor: classical channel contents plus
     ciphertext-register digests; data registers are never measured and
     the joint state is untouched, so repeated runs agree bit for bit."""

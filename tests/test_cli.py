@@ -85,6 +85,23 @@ class TestRunCli:
         assert cli.main(["--experiment", "hadamard-impossibility", "--trials", "5",
                          "--param", "scheme=unknown"]) == 2
 
+    def test_unknown_param_key_rejected(self, capsys):
+        code = cli.main(["--experiment", "hadamard-impossibility", "--trials", "5",
+                         "--param", "msg_bitz=3"])
+        assert code == 2
+        assert "msg_bitz" in capsys.readouterr().err
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("m = 2\nschem = otp\n")
+        assert cli.main(["--experiment", "hadamard-impossibility", "--trials", "5",
+                         "--config", str(cfg)]) == 2
+
+    def test_identical_arms_needs_two_trials(self, capsys):
+        assert cli.main(["--experiment", "qind-identical-arms", "--trials", "1"]) == 2
+        assert "at least 2 trials" in capsys.readouterr().err
+        assert cli.main(["--experiment", "qind-identical-arms", "--trials", "2"]) == 0
+
     def test_list(self, capsys):
         assert cli.main(["--list"]) == 0
         out = capsys.readouterr().out

@@ -5,6 +5,7 @@ from qsgames.bits import BitString
 from qsgames.oram import (
     DataRequest,
     OramParams,
+    SkesCodec,
     check_minimal_soundness,
     diff_nodes,
     oram_access,
@@ -167,7 +168,9 @@ class TestSoundness:
                         mask = BitString(1 << (msg.width - 1), msg.width)
                     else:
                         mask = BitString(1, msg.width)  # lowest data bit
-                    bucket[j] = Ciphertext(block.scheme, block.body ^ mask, r=block.r)
+                    flipped = Ciphertext(block.scheme, block.body ^ mask, r=block.r)
+                    new = bucket[:j] + (flipped,) + bucket[j + 1:]
+                    server.store(idx, new, SkesCodec.view(new))
                     return True
         return False
 

@@ -5,11 +5,20 @@ suite stays fast and every run checks the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsgames.bits import BitString
-from qsgames.oram import DataRequest, OramParams, check_minimal_soundness, oram_init, run_trace
+from qsgames.oram import (
+    DataRequest,
+    OramParams,
+    check_minimal_soundness,
+    fnv1a64,
+    oram_access,
+    oram_init,
+    run_trace,
+)
 from qsgames.qoram import QuantumDataRequest, qoram_access, qoram_init
 from qsgames.quantum import DensityMatrix, trace_distance
 from qsgames.rng import Rand
@@ -97,3 +106,60 @@ def test_quantum_oram_returns_what_was_swapped_in(n_db, seed, data):
         held = [tag for tag in held if tag] + [rec[0] for rec in client.stash]
         assert sorted(held) == sorted(shadow)
         assert all(rec[1].n_qubits == params.n_dat for rec in client.stash)
+
+
+# The server stores each bucket's view once; everything read off the
+# stored views must equal a rebuild from the blocks themselves.
+
+
+def classical_views(nodes) -> tuple:
+    return tuple(tuple((c.body.value, c.r.value) for c in bucket) for bucket in nodes)
+
+
+def quantum_views(nodes) -> tuple:
+    return tuple(tuple(b.digest() for b in bucket) for bucket in nodes)
+
+
+def path_views(views: tuple, path: list) -> tuple:
+    return tuple(v for idx in path for v in views[idx])
+
+
+def tree_digest(views: tuple) -> int:
+    return fnv1a64("".join(str(v) for bucket in views for v in bucket).encode())
+
+
+def check_stored_views(server, rebuild, before: tuple, leaf: int, down: tuple, up: tuple) -> None:
+    after = rebuild(server.nodes)
+    path = server.path_nodes(leaf)
+    assert server.snapshot() == after
+    assert down == path_views(before, path)
+    assert up == path_views(after, path)
+    assert server.digest() == tree_digest(after)
+    with pytest.raises(TypeError):
+        server.nodes[path[-1]][0] = server.nodes[0][0]
+
+
+@bounded
+@given(st.data(), st.integers(2, 16), st.integers(1, 4), st.integers(0, 2**16))
+def test_classical_stored_views_match_rebuild(data, n_db, n_bkt, seed):
+    client, server = oram_init(OramParams(n_db=n_db, n_dat=N_DAT, n_bkt=n_bkt), Rand(seed))
+    for dr in data.draw(classical_requests(n_db, 1, 20)):
+        server.digest()  # a memoized digest must not survive the access
+        before = classical_views(server.nodes)
+        _, _, ap = oram_access(client, server, dr)
+        assert ap.pre_db == before and ap.post_db == server.snapshot()
+        check_stored_views(server, classical_views, before, ap.transcript.leaf,
+                           ap.transcript.down, ap.transcript.up)
+
+
+@bounded
+@given(st.integers(2, 4), st.integers(1, 2), st.integers(0, 2**16), st.data())
+def test_quantum_stored_views_match_rebuild(n_db, n_bkt, seed, data):
+    params = OramParams(n_db=n_db, n_dat=1, n_bkt=n_bkt)
+    client, server = qoram_init(params, Rand(seed))
+    for op, rid, state_seed in data.draw(quantum_requests(n_db)):
+        payload = DensityMatrix.random_pure(params.n_dat, Rand(state_seed)) if op == "write" else None
+        server.digest()
+        before = quantum_views(server.nodes)
+        _, _, tr = qoram_access(client, server, QuantumDataRequest(op, rid, payload))
+        check_stored_views(server, quantum_views, before, tr.leaf, tr.down_digests, tr.up_digests)

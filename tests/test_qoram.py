@@ -88,13 +88,33 @@ class TestAccess:
             QuantumDataRequest("write", 1, None)
 
     def test_qubit_count_conserved(self):
-        client, server = fresh(seed=8)
-        def count():
-            blocks = sum(len(b) for b in server.nodes)
-            return blocks * client.params.n_msg + len(client.stash) * client.params.n_dat
-        before = count()
-        qoram_access(client, server, QuantumDataRequest("write", 1, DensityMatrix.basis(1, 1)))
-        assert count() == before
+        # the tree keeps node_count * n_bkt blocks of n_msg qubits, and
+        # every written id's data register is held exactly once, in the
+        # tree or the stash; one-block buckets make the stash fill
+        params = OramParams(n_db=4, n_dat=1, n_bkt=1)
+        client, server = qoram_init(params, Rand(8))
+        gen = Rand(9).numpy()
+        written, stash_peak = set(), 0
+        for _ in range(40):
+            rid = int(gen.integers(1, params.n_db + 1))
+            qoram_access(client, server, QuantumDataRequest("write", rid, DensityMatrix.basis(1, 1)))
+            written.add(rid)
+            stash_peak = max(stash_peak, len(client.stash))
+            blocks = [b for bucket in server.nodes for b in bucket]
+            assert len(blocks) == server.node_count * params.n_bkt
+            assert all(b.cipher.payload.n_qubits == params.n_msg for b in blocks)
+            held = [_tag(client, b) for b in blocks]
+            held = [tag for tag in held if tag] + [rec[0] for rec in client.stash]
+            assert sorted(held) == sorted(written)
+            assert all(rec[1].n_qubits == params.n_dat for rec in client.stash)
+        assert stash_peak > 0
+
+
+def _tag(client, block) -> int:
+    """Tag register of a block, read off the diagonal without measuring."""
+    plain = client.scheme.dec(client.key, block.cipher)
+    marginal = np.real(np.diag(plain.mat)).reshape(1 << client.params.n_tag, -1).sum(axis=1)
+    return int(np.argmax(marginal))
 
 
 class TestExtractor:
