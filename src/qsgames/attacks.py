@@ -16,8 +16,8 @@ from .games import QindChallenge
 from .oram import DataRequest
 from .qoram import QuantumDataRequest
 from .quantum import DensityMatrix, StateVector, apply_gate, measure_computational
-from .rng import Rand, dlog_bruteforce  # noqa: F401  (re-exported: predictor primitive)
-from .schemes import BOT, Cca1SepScheme, Ciphertext, core_function_split  # noqa: F401
+from .rng import Rand
+from .schemes import BOT, Cca1SepScheme, Ciphertext
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@
 
 Reports are deterministic given (seed, params) apart from the runtime
 field; the exit status is the experiment's acceptance predicate, so CI
-can consume it directly.
+can consume it directly: 0 pass, 1 fail, 2 invalid arguments or
+parameters, 3 internal error.
 """
 
 from __future__ import annotations
@@ -89,9 +90,16 @@ def run_experiment(name: str, trials: int | None, seed: int | None, overrides: d
     except (KeyError, ValueError, TypeError) as err:
         print(f"invalid parameters for {name}: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # noqa: BLE001 - a crash must not read as a predicate FAIL
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     report = render_report(result, passed, exp.claim, fmt)
     if out_path:
-        Path(out_path).write_text(report)
+        try:
+            Path(out_path).write_text(report)
+        except OSError as err:
+            print(f"cannot write the report: {err}", file=sys.stderr)
+            return 2
     print(report, end="")
     status = "PASS" if passed else "FAIL"
     print(f"{status} {name}: {result.successes}/{result.trials}, "
@@ -186,7 +194,7 @@ def main(argv=None) -> int:
         overrides = parse_params(args.param)
         if args.config:
             overrides = {**load_config(args.config), **overrides}
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(err, file=sys.stderr)
         return 2
     return run_experiment(args.experiment, args.trials, args.seed, overrides, args.out, args.format)

@@ -168,12 +168,6 @@ def game_ind_cca2(scheme, adversary, rand, **kw):
     return game_ind(scheme, adversary, rand, variant="cca2", **kw)
 
 
-# post-quantum flavor: same classical oracles and classical challenge,
-# only the adversary's computational model changes, so the experiment
-# coincides with the chosen-plaintext game above
-game_pq_ind_cpa = game_ind_cpa
-
-
 # ---------------------------------------------------------------------------
 # superposition encryption-oracle game (classical challenge)
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .bits import BitString
 from .prf import make_prf
 from .quantum import (
     DensityMatrix,
-    apply_gate,
     apply_unitary,
     partial_trace,
     qotp_apply,
@@ -40,19 +39,6 @@ class QCiphertext:
     payload: DensityMatrix
     r: BitString | None = None
     image: BitString | None = None  # trapdoor-permutation image (public-key case)
-
-
-def _pauli_mask_on(dm: DensityMatrix, pad: BitString, targets: list[int]) -> DensityMatrix:
-    """Apply X^a Z^b per target qubit, two pad bits per qubit."""
-    if pad.width != 2 * len(targets):
-        raise ValueError("pad width must be two bits per target qubit")
-    out = dm
-    for j, t in enumerate(targets):
-        if pad.bit(2 * j):
-            out = apply_gate(out, "X", [t])
-        if pad.bit(2 * j + 1):
-            out = apply_gate(out, "Z", [t])
-    return out
 
 
 class Skqes1Scheme:
@@ -97,7 +83,7 @@ class Skqes1Scheme:
         if r is None:
             r = rand.bits(self.r_bits)
         pad = self.pad_for(key, r)
-        return _pauli_mask_on(joint, pad, targets), list(targets), r
+        return qotp_apply(pad, joint, targets), list(targets), r
 
 
 class Type2LiftScheme:

@@ -356,17 +356,31 @@ def type2_from_type1(enc1: UnitaryOp, dec1: UnitaryOp) -> UnitaryOp:
 # ---------------------------------------------------------------------------
 
 
-def qotp_apply(key: BitString, state):
-    """Per-qubit X^a Z^b mask; self-inverse for a fixed key.
+def qotp_apply(key: BitString, state, targets: list[int] | None = None):
+    """X^a Z^b mask on each target qubit (every qubit, in order, by
+    default), two key bits per target in list order; self-inverse for a
+    fixed key.
 
     The whole mask is one basis permutation (the X bits) composed with
     a diagonal sign pattern (the Z bits), applied in a single pass.
     """
-    n = key.width // 2
-    if key.width != 2 * n or getattr(state, "n_qubits", None) != n:
-        raise ValueError(f"key of width {key.width} cannot mask {getattr(state, 'n_qubits', '?')} qubits")
-    flip = sum(key.bit(2 * j) << (n - 1 - j) for j in range(n))
-    sign = sum(key.bit(2 * j + 1) << (n - 1 - j) for j in range(n))
+    n = getattr(state, "n_qubits", None)
+    if n is None:
+        raise ValueError(f"key of width {key.width} cannot mask a {type(state).__name__}")
+    if targets is None:
+        targets = range(n)
+    else:
+        _check_targets(targets, len(targets), n)
+    k = len(targets)
+    if key.width != 2 * k:
+        raise ValueError(f"key of width {key.width} cannot mask {k} qubits")
+    flip = sign = 0
+    v = key.value
+    for j, t in enumerate(targets):
+        # key bits 2j, 2j+1 (bit 0 is the most significant): X, then Z
+        pair = (v >> (2 * (k - 1 - j))) & 3
+        flip |= (pair >> 1) << (n - 1 - t)
+        sign |= (pair & 1) << (n - 1 - t)
     idx = np.arange(1 << n)
     phase = 1.0 - 2.0 * (np.bitwise_count(idx & sign) & 1)
     if isinstance(state, StateVector):

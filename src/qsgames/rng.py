@@ -96,20 +96,6 @@ def _check_group(p: int, g: int) -> None:
             raise ValueError(f"g={g} is not a generator mod {p}")
 
 
-def blum_micali_next(state: PrngState) -> tuple[int, PrngState]:
-    """One generator step: returns (output bit, advanced state)."""
-    if state.kind != "BlumMicali":
-        raise ValueError("state is not a Blum-Micali state")
-    p, g, s = state.params["p"], state.params["g"], state.params["s"]
-    _check_group(p, g)
-    if not 1 <= s < p:
-        raise ValueError(f"state s={s} out of range")
-    s_next = pow(g, s, p)
-    bit = 1 if s_next < (p - 1) // 2 else 0
-    new = PrngState("BlumMicali", {"p": p, "g": g, "s": s_next}, state.emitted + 1)
-    return bit, new
-
-
 class BlumMicaliPrng:
     """Stateful wrapper emitting fixed-width values from the bit stream."""
 

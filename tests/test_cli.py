@@ -1,8 +1,10 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from qsgames import cli, experiments
+from qsgames import cli, experiments, games
 
 
 class TestCatalog:
@@ -22,6 +24,45 @@ class TestCatalog:
         for entry in experiments.list_experiments():
             assert "trials" in entry["defaults"] and "seed" in entry["defaults"]
             assert entry["description"] and entry["claim"] and entry["pass_rule"]
+
+    def test_every_trial_enters_through_the_games_module(self, monkeypatch):
+        # The benchmark's tracer times trials by replacing
+        # games.estimate_advantage and games.game_* for a run, so every
+        # call of those functions must go through the module attribute: a
+        # row holding a function bound at import would run a game unseen.
+        originals = {name: fn for name, fn in vars(games).items()
+                     if name == "estimate_advantage" or (name.startswith("game_") and callable(fn))}
+        names = {fn.__code__: name for name, fn in originals.items()}
+        entered, ran = Counter(), Counter()
+
+        def through(name, fn):
+            def wrapper(*args, **kwargs):
+                entered[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                ran[names[frame.f_code]] += 1
+
+        for name, fn in originals.items():
+            monkeypatch.setattr(games, name, through(name, fn))
+        for name in sorted(experiments.REGISTRY):
+            entered.clear()
+            ran.clear()
+            sys.setprofile(profile)
+            try:
+                experiments.get(name).run(trials=2)
+            finally:
+                sys.setprofile(None)
+            assert ran == entered, (name, ran, entered)
+            if name == "qind-identical-arms":  # its own paired loop
+                assert entered == Counter({"game_qind": 2})
+            elif name == "fs-roundtrip":  # a sign/verify cycle, no game
+                assert entered == Counter({"estimate_advantage": 1})
+            else:
+                assert entered["estimate_advantage"] == 1 and len(entered) > 1, (name, entered)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
@@ -101,6 +142,29 @@ class TestRunCli:
         assert cli.main(["--experiment", "qind-identical-arms", "--trials", "1"]) == 2
         assert "at least 2 trials" in capsys.readouterr().err
         assert cli.main(["--experiment", "qind-identical-arms", "--trials", "2"]) == 0
+
+    def test_internal_error_is_not_a_fail(self, capsys):
+        # n_db=1 leaves no valid challenge id, so the game itself aborts;
+        # that must read neither as a predicate FAIL (1) nor as bad input (2)
+        for name in ("leaf-frequency-null", "bm-oram-separation"):
+            assert cli.main(["--experiment", name, "--trials", "2", "--param", "n_db=1"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("internal error: GameProtocolError: ")
+            assert err.count("\n") == 1
+
+    def test_unusable_paths_are_argument_errors(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "file")
+        assert cli.main(["--experiment", "fair-coin-calibration", "--trials", "2",
+                         "--config", missing]) == 2
+        assert cli.main(["--experiment", "fair-coin-calibration", "--trials", "2",
+                         "--out", missing]) == 2
+        assert capsys.readouterr().err.count("No such file") == 2
+
+    def test_unknown_lift_target_names_the_choices(self, capsys):
+        assert cli.main(["--experiment", "hadamard-impossibility", "--trials", "5",
+                         "--param", "scheme=foo"]) == 2
+        err = capsys.readouterr().err
+        assert "'foo'" in err and "otp" in err and "goldreich" in err
 
     def test_list(self, capsys):
         assert cli.main(["--list"]) == 0

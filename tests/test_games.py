@@ -20,7 +20,6 @@ from qsgames.games import (
     game_ind_cca2,
     game_ind_cpa,
     game_ind_qcpa,
-    game_pq_ind_cpa,
     game_qind,
     three_sigma,
 )
@@ -125,9 +124,6 @@ class TestBaselines:
             lambda r: game_ind(scheme, RandomGuessAdversary(8), r), 2000, seed=6
         )
         assert abs(res.advantage) <= three_sigma(2000)
-
-    def test_pq_alias_is_cpa_game(self):
-        assert game_pq_ind_cpa is game_ind_cpa
 
     def test_forgers(self):
         scheme = FsSigScheme()

@@ -331,6 +331,24 @@ class TestQotp:
         with pytest.raises(ValueError):
             qotp_apply(BitString(0, 3), DensityMatrix.basis(1, 0))
 
+    def test_subset_targets_match_gate_product(self):
+        # two key bits per listed target, in list order, against apply_gate
+        dm = DensityMatrix.random_mixed(3, Rand(33))
+        targets = [2, 0]
+        for key_val in range(16):
+            key = BitString(key_val, 4)
+            expect = dm
+            for j, t in enumerate(targets):
+                if key.bit(2 * j):
+                    expect = apply_gate(expect, "X", [t])
+                if key.bit(2 * j + 1):
+                    expect = apply_gate(expect, "Z", [t])
+            assert np.allclose(qotp_apply(key, dm, targets).mat, expect.mat)
+        with pytest.raises(ValueError):
+            qotp_apply(BitString(0, 4), dm, [1, 1])
+        with pytest.raises(ValueError):
+            qotp_apply(BitString(0, 6), dm, [0, 1])
+
     def test_matches_explicit_pauli_product(self):
         # cross-check the vectorized mask against the kron-built unitary
         for n, seed in ((2, 31), (3, 32)):

@@ -4,15 +4,9 @@ from qsgames._accel import bm_recover_state, bm_stream_bits
 from qsgames.rng import (
     BlumMicaliPrng,
     CounterPrfPrng,
-    PrngState,
     Rand,
-    blum_micali_next,
     dlog_bruteforce,
 )
-
-
-def bm_state(p, g, s):
-    return PrngState("BlumMicali", {"p": p, "g": g, "s": s})
 
 
 def oracle_bm_bits(p, g, s, count):
@@ -45,18 +39,23 @@ class TestRand:
 
 class TestBlumMicali:
     def test_step_examples(self):
-        _, st = blum_micali_next(bm_state(23, 5, 3))
-        assert st.params["s"] == 10
-        _, st = blum_micali_next(st)
-        assert st.params["s"] == 9
+        _, s = bm_stream_bits(23, 5, 3, 1)
+        assert s == 10
+        _, s = bm_stream_bits(23, 5, s, 1)
+        assert s == 9
+        prng = BlumMicaliPrng(23, 5, 3)
+        prng.next_value(1)
+        assert prng.state().params["s"] == 10
+        prng.next_value(1)
+        assert prng.state().params["s"] == 9 and prng.state().emitted == 2
 
     def test_degenerate_generator_rejected(self):
         with pytest.raises(ValueError):
-            blum_micali_next(bm_state(23, 1, 1))
+            BlumMicaliPrng(23, 1, 1)
         with pytest.raises(ValueError):
-            blum_micali_next(bm_state(24, 5, 3))  # composite modulus
+            BlumMicaliPrng(24, 5, 3)  # composite modulus
         with pytest.raises(ValueError):
-            blum_micali_next(bm_state(23, 2, 3))  # order 11, not a generator
+            BlumMicaliPrng(23, 2, 3)  # order 11, not a generator
 
     def test_stream_matches_independent_oracle(self):
         expect_bits, expect_state = oracle_bm_bits(23, 5, 3, 40)
