@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _accel
 from .bits import BitString
 from .games import QindChallenge
 from .oram import DataRequest
 from .qoram import QuantumDataRequest
 from .quantum import DensityMatrix, StateVector, apply_gate, measure_computational
-from .rng import Rand
+from .rng import Rand, bm_recover_state
 from .schemes import BOT, Cca1SepScheme, Ciphertext
 
 
@@ -231,7 +230,7 @@ class BmOramAttack:
         if self.k > 0:
             n_db = self.params.n_db
             positions = [self.target_id - 1] + [n_db + t - 1 for t in range(1, self.k)]
-            _, self.prediction = _accel.bm_recover_state(
+            _, self.prediction = bm_recover_state(
                 self.p, self.g, self.params.n_tag, self.params.n_tree,
                 positions, self.leaves, n_db + self.k - 1,
             )

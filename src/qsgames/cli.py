@@ -46,10 +46,12 @@ def parse_params(pairs: list[str]) -> dict:
 
 def load_config(path: str) -> dict:
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = _coerce(value.strip())
     return out

@@ -21,6 +21,8 @@ import json
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bits import BitString
 from .oram import AccessPattern, oram_access
 from .qoram import qoram_access, safe_extractor_default
@@ -33,7 +35,7 @@ from .quantum import (
     type1_oracle,
 )
 from .rng import Rand
-from .schemes import Ciphertext, cca2_restricted_dec
+from .schemes import Ciphertext, cca2_restricted_dec, require_enc_perm
 
 
 class GameProtocolError(Exception):
@@ -176,15 +178,15 @@ def game_ind_cca2(scheme, adversary, rand, **kw):
 class TypeOneEncOracle:
     """Serves encryption as the xor-style unitary on adversary registers.
 
-    Each call pins fresh randomness, builds |x, y> -> |x, y xor f(x)>
-    for the resulting core function, applies it to the requested wires
-    of the adversary's working state, and hands back the classical
-    randomness component (the rest of the ciphertext).
+    Each call pins fresh randomness, tabulates x -> enc(key, x, r).body
+    from the scheme's enc_perm hook, applies |x, y> -> |x, y xor enc(x)>
+    to the requested wires of the adversary's working state, and hands
+    back the classical randomness component (the rest of the ciphertext).
     """
 
     def __init__(self, scheme, key, rand: Rand):
+        require_enc_perm(scheme)
         self._scheme = scheme
-        self._core = scheme.core_split()
         self._key = key
         self._rand = rand
         self.calls = 0
@@ -192,16 +194,17 @@ class TypeOneEncOracle:
     def query(self, state: StateVector, x_targets: list[int], y_targets: list[int],
               r: BitString | None = None):
         self.calls += 1
-        if self._core.r_bits and r is None:
-            r = self._rand.bits(self._core.r_bits)
-        m = self._scheme.msg_bits
-        table = [
-            self._core.f(self._key, r, BitString(x, m)).value for x in range(1 << m)
-        ]
-        out_bits = len(y_targets)
-        op = type1_oracle(table, m, out_bits)
+        if self._scheme.r_bits and r is None:
+            r = self._rand.bits(self._scheme.r_bits)
+        op = type1_oracle(self.table(r), self._scheme.msg_bits, len(y_targets))
         new_state = apply_unitary(state, op, list(x_targets) + list(y_targets))
         return new_state, r
+
+    def table(self, r: BitString | None) -> np.ndarray:
+        """enc(key, x, r=r).body for every plaintext x, in order."""
+        perm, m = self._scheme.enc_perm(self._key, r)
+        # plaintext x sits in the honest slice x || 0...0 of the permutation
+        return perm.forward[np.arange(1 << m) << (perm.domain_bits - m)]
 
     def classical(self, m: BitString):
         """Basis-state shortcut matching query() on |m, 0>."""

@@ -1,15 +1,10 @@
 """Pseudorandom functions and permutations at toy sizes.
 
-Two PRF backends:
-
-  * IdealPrf is the reference oracle used inside every game: a random
-    function realized as a keyed hash of the query point.  This is the
-    same object as a lazily sampled lookup table (each point gets an
-    independent, fixed random value) but stateless, so it is trivially
-    order-independent and safe to share.
-  * ConcretePrf is a 4-round Feistel over a splitmix-style mixing
-    round function.  It exists for throughput comparisons, never as a
-    security reference.
+IdealPrf is the one PRF, used inside every game: a random function
+realized as a keyed hash of the query point.  This is the same object
+as a lazily sampled lookup table (each point gets an independent, fixed
+random value) but stateless, so it is trivially order-independent and
+safe to share.
 
 sample_ideal_qprp tabulates a uniformly random permutation (Fisher-
 Yates, deterministic in the key), the desk-scale stand-in for a
@@ -24,16 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import BitString
-
-_M64 = (1 << 64) - 1
-
-
-def splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
 
 
 def _hash_bits(key: BitString, payload: bytes, out_bits: int) -> BitString:
@@ -52,8 +37,6 @@ def _hash_bits(key: BitString, payload: bytes, out_bits: int) -> BitString:
 class IdealPrf:
     """Random function {0,1}^in_bits -> {0,1}^out_bits fixed by the key."""
 
-    backend = "ideal"
-
     def __init__(self, key: BitString, in_bits: int, out_bits: int):
         self.key = key
         self.in_bits = in_bits
@@ -65,88 +48,8 @@ class IdealPrf:
         return _hash_bits(self.key, b"prf" + x.value.to_bytes((self.in_bits + 7) // 8, "big"), self.out_bits)
 
 
-class ConcretePrf:
-    """4-round Feistel PRF; input and output widths coincide."""
-
-    backend = "concrete"
-
-    def __init__(self, key: BitString, in_bits: int, out_bits: int | None = None):
-        out_bits = in_bits if out_bits is None else out_bits
-        if out_bits != in_bits:
-            raise ValueError("concrete backend is width-preserving")
-        if in_bits % 2:
-            raise ValueError("Feistel needs an even width")
-        self.key = key
-        self.in_bits = in_bits
-        self.out_bits = out_bits
-        self._round_keys = _round_keys(key)
-
-    def eval(self, x: BitString) -> BitString:
-        if x.width != self.in_bits:
-            raise ValueError(f"input width {x.width} != declared {self.in_bits}")
-        return BitString(_feistel_fwd(x.value, self.in_bits, self._round_keys), self.in_bits)
-
-
-def make_prf(key: BitString, in_bits: int, out_bits: int, backend: str = "ideal"):
-    if backend == "ideal":
-        return IdealPrf(key, in_bits, out_bits)
-    if backend == "concrete":
-        return ConcretePrf(key, in_bits, out_bits)
-    raise ValueError(f"unknown PRF backend {backend!r}")
-
-
-def _round_keys(key: BitString, rounds: int = 4) -> list[int]:
-    ks = []
-    state = key.value & _M64 ^ (key.width << 56)
-    for _ in range(rounds):
-        state = splitmix64(state)
-        ks.append(state)
-    return ks
-
-
-def _round_fn(rk: int, r: int, half: int) -> int:
-    return splitmix64(rk ^ r) & ((1 << half) - 1)
-
-
-def feistel_network(x: int, width: int, round_fns) -> int:
-    """Generic balanced network: (L, R) -> (R, L xor f_i(R)) per round."""
-    half = width // 2
-    mask = (1 << half) - 1
-    left, right = x >> half, x & mask
-    for fn in round_fns:
-        left, right = right, left ^ (fn(right) & mask)
-    return (left << half) | right
-
-
-def feistel_network_inv(y: int, width: int, round_fns) -> int:
-    half = width // 2
-    mask = (1 << half) - 1
-    left, right = y >> half, y & mask
-    for fn in reversed(round_fns):
-        left, right = right ^ (fn(left) & mask), left
-    return (left << half) | right
-
-
-def _feistel_fwd(x: int, width: int, round_keys: list[int]) -> int:
-    half = width // 2
-    return feistel_network(x, width, [lambda r, rk=rk: _round_fn(rk, r, half) for rk in round_keys])
-
-
-def _feistel_inv(y: int, width: int, round_keys: list[int]) -> int:
-    half = width // 2
-    return feistel_network_inv(y, width, [lambda r, rk=rk: _round_fn(rk, r, half) for rk in round_keys])
-
-
-def feistel_prp(key: BitString, x: BitString) -> BitString:
-    if x.width % 2:
-        raise ValueError("Feistel needs an even width")
-    return BitString(_feistel_fwd(x.value, x.width, _round_keys(key)), x.width)
-
-
-def feistel_prp_inv(key: BitString, y: BitString) -> BitString:
-    if y.width % 2:
-        raise ValueError("Feistel needs an even width")
-    return BitString(_feistel_inv(y.value, y.width, _round_keys(key)), y.width)
+def make_prf(key: BitString, in_bits: int, out_bits: int) -> IdealPrf:
+    return IdealPrf(key, in_bits, out_bits)
 
 
 QPRP_DOMAIN_CAP = 14

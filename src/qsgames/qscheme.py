@@ -18,7 +18,6 @@ as joint states, encrypted on a register) work throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .bits import BitString
@@ -31,7 +30,7 @@ from .quantum import (
     type2_oracle,
 )
 from .rng import Rand
-from .schemes import OwpHandle, goldreich_levin_prng, owtp_domain, owtp_eval, owtp_gen, owtp_invert
+from .schemes import PkesOwtpScheme, owtp_eval, require_enc_perm
 
 
 @dataclass
@@ -46,19 +45,18 @@ class Skqes1Scheme:
 
     name = "skqes-qotp-prf"
 
-    def __init__(self, n_qubits: int, key_bits: int | None = None, prf_backend: str = "ideal"):
+    def __init__(self, n_qubits: int, key_bits: int | None = None):
         self.n_qubits = n_qubits
         self.pad_bits = 2 * n_qubits
         self.r_bits = 2 * n_qubits
         self.key_bits = 2 * n_qubits if key_bits is None else key_bits
-        self.prf_backend = prf_backend
         self.ciphertext_qubits = n_qubits
 
     def key_gen(self, rand: Rand) -> BitString:
         return rand.bits(self.key_bits)
 
     def pad_for(self, key: BitString, r: BitString) -> BitString:
-        return make_prf(key, self.r_bits, self.pad_bits, self.prf_backend).eval(r)
+        return make_prf(key, self.r_bits, self.pad_bits).eval(r)
 
     def enc(self, key: BitString, phi: DensityMatrix, rand: Rand = None, r: BitString = None) -> QCiphertext:
         if phi.n_qubits != self.n_qubits:
@@ -96,8 +94,7 @@ class Type2LiftScheme:
     """
 
     def __init__(self, inner):
-        if not hasattr(inner, "enc_perm"):
-            raise ValueError(f"{inner.name} has no pinned-randomness permutation form")
+        require_enc_perm(inner)
         self.inner = inner
         self.name = f"type2-lift({inner.name})"
         self.n_qubits = inner.msg_bits
@@ -109,7 +106,7 @@ class Type2LiftScheme:
         return self.inner.key_gen(rand)
 
     def _unitary(self, key, r):
-        perm, _ = self.inner.enc_perm(key, r) if self.r_bits else self.inner.enc_perm(key)
+        perm, _ = self.inner.enc_perm(key, r)
         return type2_oracle(perm)
 
     def _fresh_r(self, rand: Rand, r: BitString | None) -> BitString | None:
@@ -155,7 +152,12 @@ def skqes_type2_lift(inner) -> Type2LiftScheme:
 
 
 class PkqesScheme:
-    """Public-key quantum encryption from a toy trapdoor permutation."""
+    """Public-key quantum encryption from a toy trapdoor permutation.
+
+    Keys, seeds, pads and trapdoor inversion are those of the classical
+    scheme on 2n-bit messages; the pad Pauli-masks n qubits instead of
+    masking bits.
+    """
 
     name = "pkqes-owtp"
 
@@ -164,45 +166,24 @@ class PkqesScheme:
         self.pad_bits = 2 * n_qubits
         self.modulus_bits = modulus_bits
         self.ciphertext_qubits = n_qubits
+        self.classical = PkesOwtpScheme(self.pad_bits, modulus_bits)
 
     def key_gen(self, rand: Rand):
-        pair = owtp_gen(rand, self.modulus_bits)
-        mask = rand.bits(pair.modulus.bit_length()).value
-        pk = (pair.index, mask)
-        sk = (pair.index, mask, pair.trapdoor)
-        return pk, sk
-
-    def _handle(self, index, mask) -> OwpHandle:
-        n, _ = index
-        return OwpHandle(n.bit_length(), lambda x: owtp_eval(index, x), owtp_domain(n), mask)
-
-    def _pad(self, index, mask, r: int) -> BitString:
-        handle = self._handle(index, mask)
-        return goldreich_levin_prng(BitString(r, handle.domain_bits), handle, self.pad_bits)
+        return self.classical.key_gen(rand)
 
     def sample_domain(self, pk, rand: Rand) -> int:
-        (n, _), _mask = pk
-        while True:
-            r = rand.integer(1, n)
-            if math.gcd(r, n) == 1:
-                return r
+        return self.classical.sample_domain(pk, rand)
 
     def enc(self, pk, phi: DensityMatrix, rand: Rand = None, r: int | None = None) -> QCiphertext:
-        index, mask = pk
+        index, _mask = pk
         if phi.n_qubits != self.n_qubits:
             raise ValueError("plaintext register width mismatch")
         if r is None:
             r = self.sample_domain(pk, rand)
-        pad = self._pad(index, mask, r)
+        pad = self.classical.pad(pk, r)
         z = owtp_eval(index, r)
-        bits = index[0].bit_length()
-        return QCiphertext(qotp_apply(pad, phi), image=BitString(z, bits))
+        return QCiphertext(qotp_apply(pad, phi), image=BitString(z, index[0].bit_length()))
 
     def dec(self, sk, qc: QCiphertext) -> DensityMatrix:
-        index, mask, trapdoor = sk
-        n, _ = index
-        z = qc.image.value
-        if not owtp_domain(n)(z):
-            raise ValueError("image outside the permutation range")
-        r = owtp_invert(index, trapdoor, z)
-        return qotp_apply(self._pad(index, mask, r), qc.payload)
+        r = self.classical.seed_of(sk, qc.image.value)
+        return qotp_apply(self.classical.pad(sk[:2], r), qc.payload)

@@ -1,6 +1,7 @@
 """Exact small-scale quantum state simulation.
 
-Statevectors and density matrices over at most QUBIT_CAP qubits, the
+Statevectors over at most QUBIT_CAP qubits and density matrices over at
+most DENSITY_QUBIT_CAP (checked before the matrix is allocated), the
 gate set needed by the games (Hadamard, Paulis, CNOT, SWAP, classical
 oracles), the Pauli masking scheme, partial trace, trace distance, and
 the averaged-permutation channel with its closed form.
@@ -24,6 +25,7 @@ from .prf import Permutation
 from .rng import Rand
 
 QUBIT_CAP = 12
+DENSITY_QUBIT_CAP = 10  # one complex 2**n x 2**n matrix: 16 MiB at 10 qubits
 ATOL_STATE = 1e-10
 ATOL_POS = 1e-8
 ATOL_UNITARY = 1e-8
@@ -54,6 +56,14 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"{n} qubits exceed the simulation cap {QUBIT_CAP}")
     if n < 1:
         raise ValueError("need at least one qubit")
+
+
+def _check_density_cap(n: int) -> None:
+    if n > DENSITY_QUBIT_CAP:
+        mib = 16 << (2 * n) >> 20
+        raise ValueError(f"a {n}-qubit density matrix ({mib} MiB) exceeds the density-matrix "
+                         f"cap of {DENSITY_QUBIT_CAP} qubits")
+    _check_cap(n)
 
 
 @dataclass
@@ -87,6 +97,7 @@ class StateVector:
 
     def density(self) -> "DensityMatrix":
         # projector onto a normalized vector, valid by construction
+        _check_density_cap(self.n_qubits)
         return DensityMatrix(self.n_qubits, np.outer(self.amps, self.amps.conj()), check=False)
 
     def tensor(self, other: "StateVector") -> "StateVector":
@@ -107,7 +118,7 @@ class DensityMatrix:
     check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        _check_cap(self.n_qubits)
+        _check_density_cap(self.n_qubits)
         self.mat = np.asarray(self.mat, dtype=complex)
         dim = 1 << self.n_qubits
         if self.mat.shape != (dim, dim):
@@ -125,6 +136,7 @@ class DensityMatrix:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "DensityMatrix":
+        _check_density_cap(n_qubits)
         dim = 1 << n_qubits
         mat = np.zeros((dim, dim), dtype=complex)
         mat[index, index] = 1.0
@@ -153,11 +165,12 @@ class DensityMatrix:
         return cls(n_qubits, flat.reshape(dim, dim))
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
+        _check_density_cap(self.n_qubits + other.n_qubits)
         return DensityMatrix(self.n_qubits + other.n_qubits, np.kron(self.mat, other.mat), check=False)
 
 
 def maximally_mixed(n_qubits: int) -> DensityMatrix:
-    _check_cap(n_qubits)
+    _check_density_cap(n_qubits)
     dim = 1 << n_qubits
     return DensityMatrix(n_qubits, np.eye(dim, dtype=complex) / dim, check=False)
 
@@ -560,7 +573,7 @@ def avg_perm_channel(rho: DensityMatrix, r_bits: int, msg_qubits: int | None = N
     """
     m = rho.n_qubits if msg_qubits is None else msg_qubits
     env = rho.n_qubits - m
-    _check_cap(rho.n_qubits + r_bits)
+    _check_density_cap(rho.n_qubits + r_bits)
     c = m + r_bits
     n_c = 1 << c
     dim_env = 1 << env
@@ -584,7 +597,7 @@ def avg_perm_channel_sampled(
     m = rho.n_qubits if msg_qubits is None else msg_qubits
     env = rho.n_qubits - m
     c = m + r_bits
-    _check_cap(rho.n_qubits + r_bits)
+    _check_density_cap(rho.n_qubits + r_bits)
     attached = DensityMatrix(
         rho.n_qubits + r_bits, _attach_ancilla(rho.mat, env, m, r_bits), check=False
     )

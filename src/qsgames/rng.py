@@ -13,6 +13,13 @@ Two stateful generators feed the ORAM position maps:
   * CounterPrfPrng: output block t = F_key(t) for a lazily sampled
     random function, the stand-in for a generator with no usable
     structure.
+
+The brute-force searches against the first generator (seed recovery
+from truncated outputs, exhaustive discrete log) live here too; they
+dominate the runtime of the ORAM separation experiments.  All moduli
+are capped at 2**24 so every intermediate product fits comfortably in
+int64, and the state-recovery search runs off a cached table of
+g**x mod p.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import sympy
 
-from . import _accel
 from .bits import BitString
 
 
@@ -111,7 +117,7 @@ class BlumMicaliPrng:
         self.emitted_bits = 0
 
     def next_value(self, width: int) -> BitString:
-        bits, self._s = _accel.bm_stream_bits(self.p, self.g, self._s, width)
+        bits, self._s = bm_stream_bits(self.p, self.g, self._s, width)
         self.emitted_bits += width
         val = 0
         for b in bits:
@@ -141,11 +147,117 @@ class CounterPrfPrng:
         return PrngState("CounterPrf", {"counter": self._counter}, self._counter)
 
 
+DLOG_MODULUS_CAP = 1 << 24
+
+
+def _check_modulus(p: int) -> None:
+    if p > DLOG_MODULUS_CAP:
+        raise ValueError(f"modulus {p} exceeds brute-force cap 2**24")
+
+
+def bm_stream_bits(p: int, g: int, s: int, count: int) -> tuple[np.ndarray, int]:
+    """Run the modular-exponentiation generator ``count`` steps.
+
+    Returns (bits, final_state); bit i is the half-interval predicate of
+    the state after step i+1.
+    """
+    out = np.zeros(count, dtype=np.int64)
+    half = (p - 1) // 2
+    for i in range(count):
+        s = pow(g, s, p)
+        out[i] = 1 if s < half else 0
+    return out, int(s)
+
+
+def _batch_modpow(g: int, exps: np.ndarray, p: int) -> np.ndarray:
+    """g**exps mod p for an int64 exponent array (square-and-multiply
+    over exponent bits; products stay below 2**48)."""
+    result = np.ones_like(exps)
+    base = np.int64(g % p)
+    exps = exps.copy()
+    maxbits = int(p).bit_length()
+    for _ in range(maxbits + 1):
+        odd = (exps & 1) == 1
+        result[odd] = (result[odd] * base) % p
+        base = (base * base) % p
+        exps >>= 1
+        if not exps.any():
+            break
+    return result
+
+
+_POW_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _pow_table(p: int, g: int) -> np.ndarray:
+    key = (p, g)
+    table = _POW_TABLE_CACHE.get(key)
+    if table is None:
+        table = _batch_modpow(g, np.arange(p, dtype=np.int64), p)
+        if len(_POW_TABLE_CACHE) > 8:
+            _POW_TABLE_CACHE.clear()
+        _POW_TABLE_CACHE[key] = table
+    return table
+
+
+def bm_recover_state(
+    p: int,
+    g: int,
+    n_tag: int,
+    n_tree: int,
+    positions: list[int],
+    expected: list[int],
+    predict_pos: int,
+) -> tuple[int, int]:
+    """Exhaustively search for a seed consistent with truncated outputs.
+
+    The generator emits ``n_tag``-bit values (one per n_tag predicate
+    bits); observation j says output number positions[j], truncated to
+    its last ``n_tree`` bits, equals expected[j].  Returns the first
+    consistent seed and the truncated output at ``predict_pos``, or
+    (-1, -1) when no seed fits.
+    """
+    _check_modulus(p)
+    if not positions:
+        return -1, -1
+    table = _pow_table(p, g)
+    half = (p - 1) // 2
+    tree_mask = (1 << n_tree) - 1
+    # every admissible seed advances in lockstep through the power table;
+    # a seed drops out at its first disagreeing truncated output
+    seeds = np.arange(1, p, dtype=np.int64)
+    states = seeds.copy()
+    alive = np.ones(seeds.shape[0], dtype=bool)
+    predictions = np.full(seeds.shape[0], -1, dtype=np.int64)
+    obs = dict(zip(positions, expected))
+    for pos in range(max(max(positions), predict_pos) + 1):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        vals = np.zeros(idx.size, dtype=np.int64)
+        st = states[idx]
+        for _ in range(n_tag):
+            st = table[st]
+            vals = (vals << 1) | (st < half)
+        states[idx] = st
+        vals &= tree_mask
+        if pos in obs:
+            alive[idx] = vals == obs[pos]
+        if pos == predict_pos:
+            predictions[idx] = vals
+    idx = np.flatnonzero(alive)
+    if idx.size == 0:
+        return -1, -1
+    return int(seeds[idx[0]]), int(predictions[idx[0]])
+
+
 def dlog_bruteforce(p: int, g: int, h: int) -> int:
-    """Smallest x with g**x = h (mod p), by exhaustive search."""
-    if p > _accel.DLOG_MODULUS_CAP:
-        raise ValueError("modulus exceeds 2**24 brute-force cap")
-    e = _accel.dlog_bruteforce_raw(p, g, h)
-    if e < 0:
-        raise ValueError(f"{h} is not in the subgroup generated by {g} mod {p}")
-    return e
+    """Smallest x >= 0 with g**x = h (mod p), by exhaustive search."""
+    _check_modulus(p)
+    target = h % p
+    x = 1
+    for e in range(p - 1):
+        if x == target:
+            return e
+        x = (x * g) % p
+    raise ValueError(f"{h} is not in the subgroup generated by {g} mod {p}")

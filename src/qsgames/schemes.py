@@ -12,8 +12,9 @@ Scheme interface (duck-typed):
     msg_bits, name, randomized
 
 Schemes whose pinned-randomness encryption is a bijection additionally
-expose enc_perm(key, r) -> (Permutation, plaintext_bits), the hook the
-quantum lift builds its in-place encryption unitary from.
+expose enc_perm(key, r) -> (Permutation, plaintext_bits), the one hook
+both quantum forms of encryption are built from: the lift's in-place
+unitary and the superposition oracle's xor-style table.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ class Ciphertext:
         return out
 
 
+def require_enc_perm(scheme) -> None:
+    """Reject a scheme that exposes no enc_perm hook."""
+    if not hasattr(scheme, "enc_perm"):
+        name = getattr(scheme, "name", type(scheme).__name__)
+        raise ValueError(f"{name} has no pinned-randomness permutation form")
+
+
 # ---------------------------------------------------------------------------
 # one-time pad
 # ---------------------------------------------------------------------------
@@ -91,15 +99,6 @@ class OtpScheme:
 
     def dec(self, key: BitString, c: Ciphertext) -> BitString:
         return otp_dec(key, c.body)
-
-    # core decomposition: empty randomness, f(k, -, x) = x xor k
-    def core_split(self) -> "CoreFunction":
-        return CoreFunction(
-            r_bits=0,
-            f=lambda k, r, x: x ^ k,
-            g=lambda k, r, z: z ^ k,
-            msg_bits=self.msg_bits,
-        )
 
     def enc_perm(self, key: BitString, r: BitString = None) -> tuple[Permutation, int]:
         return Permutation.xor_mask(key.value, self.msg_bits), self.msg_bits
@@ -128,20 +127,18 @@ class GoldreichScheme:
 
     randomized = True
 
-    def __init__(self, msg_bits: int, r_bits: int | None = None, key_bits: int | None = None,
-                 prf_backend: str = "ideal"):
+    def __init__(self, msg_bits: int, r_bits: int | None = None, key_bits: int | None = None):
         self.name = "skes-goldreich"
         self.msg_bits = msg_bits
         self.r_bits = msg_bits if r_bits is None else r_bits
         self.key_bits = msg_bits if key_bits is None else key_bits
         self.perm_bits = msg_bits
-        self.prf_backend = prf_backend
 
     def key_gen(self, rand: Rand) -> BitString:
         return rand.bits(self.key_bits)
 
     def _prf(self, key: BitString):
-        return make_prf(key, self.r_bits, self.msg_bits, self.prf_backend)
+        return make_prf(key, self.r_bits, self.msg_bits)
 
     def enc(self, key: BitString, m: BitString, rand: Rand = None, r: BitString = None) -> Ciphertext:
         if m.width != self.msg_bits:
@@ -155,14 +152,6 @@ class GoldreichScheme:
 
     def dec(self, key: BitString, c: Ciphertext) -> BitString:
         return c.body ^ self._prf(key).eval(c.r)
-
-    def core_split(self) -> "CoreFunction":
-        return CoreFunction(
-            r_bits=self.r_bits,
-            f=lambda k, r, x: x ^ self._prf(k).eval(r),
-            g=lambda k, r, z: z ^ self._prf(k).eval(r),
-            msg_bits=self.msg_bits,
-        )
 
     def enc_perm(self, key: BitString, r: BitString) -> tuple[Permutation, int]:
         pad = self._prf(key).eval(r)
@@ -207,14 +196,6 @@ class PrpScheme:
     def dec(self, key: BitString, c: Ciphertext) -> BitString:
         plain = self._perm(key).invert(c.body.value)
         return BitString(plain, self.cipher_bits).take(self.msg_bits)
-
-    def core_split(self) -> "CoreFunction":
-        return CoreFunction(
-            r_bits=self.r_bits,
-            f=lambda k, r, x: BitString(self._perm(k).apply(x.concat(r).value), self.cipher_bits),
-            g=lambda k, r, z: BitString(self._perm(k).invert(z.value), self.cipher_bits).take(self.msg_bits),
-            msg_bits=self.msg_bits,
-        )
 
     def enc_perm(self, key: BitString, r: BitString) -> tuple[Permutation, int]:
         # unitary on msg+r qubits: x || a  ->  P_k(x || (a xor r)); the
@@ -322,43 +303,6 @@ def cca2_restricted_dec(scheme, key, forbidden: Ciphertext, c: Ciphertext):
     if c == forbidden:
         return BOT
     return scheme.dec(key, c)
-
-
-# ---------------------------------------------------------------------------
-# core-function decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CoreFunction:
-    """(r, f(k,r,x)) view of a ciphertext plus the inverse map g."""
-
-    r_bits: int
-    f: object
-    g: object
-    msg_bits: int
-
-    def quasi_length_preserving(self, key, rand: Rand, samples: int = 16) -> bool:
-        for _ in range(samples):
-            r = rand.bits(self.r_bits) if self.r_bits else None
-            x = rand.bits(self.msg_bits)
-            z = self.f(key, r, x)
-            if self.g(key, r, z) != x:
-                raise AssertionError("core inverse failed")
-            if z.width != self.msg_bits:
-                return False
-        return True
-
-
-def core_function_split(scheme, key, rand: Rand):
-    """Return (core, r_bits, quasi_length_preserving) for a scheme that
-    declares its decomposition; widths are verified on random samples."""
-    if not hasattr(scheme, "core_split"):
-        name = getattr(scheme, "name", type(scheme).__name__)
-        raise ValueError(f"{name} declares no core decomposition")
-    core = scheme.core_split()
-    flag = core.quasi_length_preserving(key, rand)
-    return core, core.r_bits, flag
 
 
 # ---------------------------------------------------------------------------
@@ -505,24 +449,27 @@ class PkesOwtpScheme:
             if math.gcd(r, n) == 1:
                 return r
 
+    def pad(self, pk, r: int) -> BitString:
+        """The msg_bits-bit iterated-hardcore pad grown from seed r."""
+        handle = self._handle(*pk)
+        return goldreich_levin_prng(BitString(r, handle.domain_bits), handle, self.msg_bits)
+
+    def seed_of(self, sk, z: int) -> int:
+        """Invert the transmitted image z with the trapdoor."""
+        index, _mask, trapdoor = sk
+        if not owtp_domain(index[0])(z):
+            raise ValueError("image component outside the permutation range")
+        return owtp_invert(index, trapdoor, z)
+
     def enc(self, pk, m: BitString, rand: Rand = None, r: int | None = None) -> Ciphertext:
-        index, mask = pk
+        index, _mask = pk
         if m.width != self.msg_bits:
             raise ValueError(f"message width {m.width} != {self.msg_bits}")
         if r is None:
             r = self.sample_domain(pk, rand)
-        handle = self._handle(index, mask)
-        pad = goldreich_levin_prng(BitString(r, handle.domain_bits), handle, self.msg_bits)
+        pad = self.pad(pk, r)
         z = owtp_eval(index, r)
-        return Ciphertext(self.name, m ^ pad, aux=BitString(z, handle.domain_bits))
+        return Ciphertext(self.name, m ^ pad, aux=BitString(z, index[0].bit_length()))
 
     def dec(self, sk, c: Ciphertext) -> BitString:
-        index, mask, trapdoor = sk
-        n, _ = index
-        z = c.aux.value
-        if not owtp_domain(n)(z):
-            raise ValueError("image component outside the permutation range")
-        r = owtp_invert(index, trapdoor, z)
-        handle = self._handle(index, mask)
-        pad = goldreich_levin_prng(BitString(r, handle.domain_bits), handle, self.msg_bits)
-        return c.body ^ pad
+        return c.body ^ self.pad(sk[:2], self.seed_of(sk, c.aux.value))

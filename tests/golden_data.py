@@ -35,9 +35,9 @@ TRIALS = {"qind-identical-arms": 2}
 TRACES_FILE = "traces.json"
 
 
-def catalog_report(name: str) -> str:
+def catalog_report(name: str, max_trials: int = MAX_TRIALS) -> str:
     exp = experiments.get(name)
-    trials = TRIALS.get(name, min(MAX_TRIALS, exp.defaults["trials"]))
+    trials = TRIALS.get(name, min(max_trials, exp.defaults["trials"]))
     result, passed = exp.run(trials=trials, seed=SEED)
     payload = json.loads(result.to_json())
     del payload["runtime_ms"]

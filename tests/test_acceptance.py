@@ -1,16 +1,15 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
 Each test prints one [PASS]/[FAIL] line (visible with pytest -s and in
-failure output).  Runtime budgets are asserted with the kernels
-already warmed, so first-call costs are excluded from the timed sections.
+failure output) and asserts its runtime budget around the whole
+criterion, first calls included.
 """
 
 import time
 
 import numpy as np
-import pytest
 
-from qsgames import _accel, attacks, experiments, games, qscheme, schemes
+from qsgames import attacks, experiments, games, qscheme, schemes
 from qsgames import fiatshamir as fs
 from qsgames.bits import BitString
 from qsgames.oram import DataRequest, OramParams, diff_nodes, oram_access, oram_init
@@ -31,11 +30,6 @@ from qsgames.quantum import (
     type2_oracle,
 )
 from qsgames.rng import BlumMicaliPrng, Rand
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    _accel.warmup()
 
 
 def report(criterion: int, ok: bool, detail: str):

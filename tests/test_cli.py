@@ -138,6 +138,15 @@ class TestRunCli:
         assert cli.main(["--experiment", "hadamard-impossibility", "--trials", "5",
                          "--config", str(cfg)]) == 2
 
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# overrides\nscheme = otp\nm 2\n")
+        assert cli.main(["--experiment", "hadamard-impossibility", "--trials", "5",
+                         "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3:" in err and "key=value" in err and "'m 2'" in err
+        assert "unpack" not in err
+
     def test_identical_arms_needs_two_trials(self, capsys):
         assert cli.main(["--experiment", "qind-identical-arms", "--trials", "1"]) == 2
         assert "at least 2 trials" in capsys.readouterr().err

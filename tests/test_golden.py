@@ -3,7 +3,7 @@
 import pytest
 
 import golden_data
-from qsgames import experiments
+from qsgames import experiments, quantum
 
 
 @pytest.mark.parametrize("name", sorted(experiments.REGISTRY))
@@ -20,3 +20,23 @@ def test_every_catalog_entry_is_pinned():
 def test_oram_traces_match_golden():
     pinned = (golden_data.GOLDEN_DIR / golden_data.TRACES_FILE).read_text()
     assert golden_data.trace_digests() == pinned
+
+
+def test_debug_checks_leave_reports_unchanged(monkeypatch):
+    # QSGAMES_DEBUG re-validates every state a gate, oracle or mask
+    # produces; validation must neither fail nor change any report
+    validations = [0]
+    validate = quantum.DensityMatrix.validate
+
+    def counting_validate(self):
+        validations[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(quantum.DensityMatrix, "validate", counting_validate)
+    names = sorted(experiments.REGISTRY)
+    plain = [golden_data.catalog_report(name, max_trials=4) for name in names]
+    plain_validations = validations[0]
+    monkeypatch.setattr(quantum, "DEBUG_CHECKS", True)
+    checked = [golden_data.catalog_report(name, max_trials=4) for name in names]
+    assert checked == plain
+    assert validations[0] > 2 * plain_validations

@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from qsgames.bits import BitString
-from qsgames.prf import (
-    ConcretePrf,
-    IdealPrf,
-    Permutation,
-    feistel_network,
-    feistel_prp,
-    feistel_prp_inv,
-    make_prf,
-    sample_ideal_qprp,
-)
+from qsgames.prf import IdealPrf, Permutation, sample_ideal_qprp
 from qsgames.rng import Rand
 
 
@@ -48,39 +39,6 @@ class TestIdealPrf:
         x = BitString(0, 8)
         outs = {IdealPrf(BitString(k, 16), 8, 8).eval(x).value for k in range(16)}
         assert len(outs) > 1
-
-
-class TestFeistel:
-    def test_zero_round_function_is_identity(self):
-        zero = [lambda r: 0] * 4
-        for x in (0, 0b10110100, 255):
-            assert feistel_network(x, 8, zero) == x
-
-    def test_bijection_exhaustive_width8(self):
-        key = BitString(0xBEEF, 16)
-        outs = [feistel_prp(key, BitString(v, 8)).value for v in range(256)]
-        assert sorted(outs) == list(range(256))
-
-    def test_inverse_exhaustive_width8(self):
-        key = BitString(0xBEEF, 16)
-        for v in range(256):
-            x = BitString(v, 8)
-            assert feistel_prp_inv(key, feistel_prp(key, x)) == x
-
-    def test_odd_width_rejected(self):
-        with pytest.raises(ValueError):
-            feistel_prp(BitString(1, 8), BitString(0, 7))
-
-    def test_concrete_prf_is_feistel(self):
-        key = BitString(0xBEEF, 16)
-        prf = ConcretePrf(key, 8)
-        assert prf.eval(BitString(33, 8)) == feistel_prp(key, BitString(33, 8))
-
-    def test_make_prf_backends(self):
-        assert make_prf(BitString(1, 8), 8, 8, "ideal").backend == "ideal"
-        assert make_prf(BitString(1, 8), 8, 8, "concrete").backend == "concrete"
-        with pytest.raises(ValueError):
-            make_prf(BitString(1, 8), 8, 8, "nope")
 
 
 class TestIdealQprp:

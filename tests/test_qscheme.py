@@ -137,8 +137,7 @@ class TestPkqes:
         rr = scheme.sample_domain(pk, r)
         phi = DensityMatrix.random_pure(1, r)
         qc = scheme.enc(pk, phi, r=rr)
-        index, mask = pk
-        pad = scheme._pad(index, mask, rr)
+        pad = scheme.classical.pad(pk, rr)
         assert trace_distance(qotp_apply(pad, qc.payload), phi) < 1e-10
 
     def test_distinct_r_gives_distinct_ciphertexts(self):

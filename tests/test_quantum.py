@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,27 @@ class TestStates:
     def test_cap(self):
         with pytest.raises(ValueError):
             StateVector.zero(13)
+
+    def test_density_cap_is_checked_before_allocating(self):
+        # an 11-qubit density matrix would take 64 MiB; its statevector
+        # (32 KiB) is still within the simulation cap
+        sv = StateVector.zero(11)
+        builders = (
+            lambda: DensityMatrix.basis(11, 0),
+            lambda: maximally_mixed(11),
+            sv.density,
+            lambda: DensityMatrix.basis(6, 0).tensor(DensityMatrix.basis(5, 0)),
+        )
+        for build in builders:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="density-matrix cap of 10 qubits"):
+                    build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+        assert DensityMatrix.basis(10, 0).n_qubits == 10
 
     def test_density_invariants(self):
         dm = DensityMatrix.random_mixed(2, Rand(1))

@@ -1,10 +1,11 @@
 import pytest
 
-from qsgames._accel import bm_recover_state, bm_stream_bits
 from qsgames.rng import (
     BlumMicaliPrng,
     CounterPrfPrng,
     Rand,
+    bm_recover_state,
+    bm_stream_bits,
     dlog_bruteforce,
 )
 

@@ -6,6 +6,7 @@ from qsgames.bits import BitString
 from qsgames.prf import Permutation
 from qsgames.rng import Rand
 from qsgames import schemes
+from qsgames.games import TypeOneEncOracle
 from qsgames.schemes import (
     BOT,
     Cca1SepScheme,
@@ -18,7 +19,6 @@ from qsgames.schemes import (
     PrpModeScheme,
     PrpScheme,
     cca2_restricted_dec,
-    core_function_split,
     goldreich_levin_prng,
     owtp_eval,
     owtp_gen,
@@ -275,33 +275,40 @@ class TestPkes:
             scheme.dec(sk, broken)
 
 
+def assert_table_matches_enc(scheme, rand):
+    """The superposition oracle's table equals enc's body on every plaintext."""
+    key = scheme.key_gen(rand)
+    oracle = TypeOneEncOracle(scheme, key, rand)
+    for _ in range(3):
+        rr = rand.bits(scheme.r_bits) if scheme.r_bits else None
+        table = oracle.table(rr)
+        for x in range(1 << scheme.msg_bits):
+            assert table[x] == scheme.enc(key, BitString(x, scheme.msg_bits), r=rr).body.value
+
+
 class TestCoreSplit:
+    """Pinned-randomness encryption as a permutation (the enc_perm hook)."""
+
     def test_goldreich_is_quasi_length_preserving(self):
-        scheme = GoldreichScheme(6)
         r = Rand(21)
-        key = scheme.key_gen(r)
-        core, r_bits, flag = core_function_split(scheme, key, r)
-        assert flag is True and r_bits == 6
-        m, rr = r.bits(6), r.bits(6)
-        assert core.f(key, rr, m) == scheme.enc(key, m, r=rr).body
+        for scheme in (GoldreichScheme(4), GoldreichScheme(4, r_bits=3), GoldreichScheme(4, r_bits=6)):
+            assert scheme.perm_bits == scheme.msg_bits
+            assert_table_matches_enc(scheme, r)
 
     def test_prp_scheme_expands(self):
-        scheme = PrpScheme(3, 2)
-        r = Rand(22)
-        key = scheme.key_gen(r)
-        _, r_bits, flag = core_function_split(scheme, key, r)
-        assert flag is False and r_bits == 2
+        scheme = PrpScheme(4, 2)
+        assert scheme.perm_bits > scheme.msg_bits
+        assert_table_matches_enc(scheme, Rand(22))
 
     def test_otp_flag_true(self):
-        scheme = OtpScheme(5)
-        r = Rand(23)
-        key = scheme.key_gen(r)
-        _, r_bits, flag = core_function_split(scheme, key, r)
-        assert flag is True and r_bits == 0
+        scheme = OtpScheme(4)
+        assert scheme.perm_bits == scheme.msg_bits and scheme.r_bits == 0
+        assert_table_matches_enc(scheme, Rand(23))
 
     def test_undeclared_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            core_function_split(object(), None, Rand(0))
+        for scheme in (Cca1SepScheme(msg_bits=4), object()):
+            with pytest.raises(ValueError, match="no pinned-randomness permutation form"):
+                TypeOneEncOracle(scheme, None, Rand(0))
 
 
 def test_every_scheme_roundtrips_exhaustively_at_small_width():
