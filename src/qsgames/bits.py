@@ -3,6 +3,11 @@
 A BitString is an immutable (value, width) pair.  Bit 0 is the most
 significant bit; hex serialization is lowercase, most-significant bit
 first, padded to a whole number of nibbles.
+
+The public constructor checks the width and the range of the value.
+Results derived here from values that passed those checks (xor,
+inversion, concatenation, split, take, drop) fit by construction and
+skip them.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitString:
     value: int
     width: int
@@ -24,10 +29,10 @@ class BitString:
     def __xor__(self, other: "BitString") -> "BitString":
         if self.width != other.width:
             raise ValueError(f"xor width mismatch: {self.width} != {other.width}")
-        return BitString(self.value ^ other.value, self.width)
+        return _unchecked(self.value ^ other.value, self.width)
 
     def __invert__(self) -> "BitString":
-        return BitString(self.value ^ ((1 << self.width) - 1), self.width)
+        return _unchecked(self.value ^ ((1 << self.width) - 1), self.width)
 
     def bit(self, i: int) -> int:
         """Bit at position i, counting from the most significant bit."""
@@ -36,7 +41,7 @@ class BitString:
         return (self.value >> (self.width - 1 - i)) & 1
 
     def concat(self, other: "BitString") -> "BitString":
-        return BitString((self.value << other.width) | other.value, self.width + other.width)
+        return _unchecked((self.value << other.width) | other.value, self.width + other.width)
 
     def split(self, left_width: int) -> tuple["BitString", "BitString"]:
         """Split into (first left_width bits, remainder)."""
@@ -44,22 +49,22 @@ class BitString:
             raise ValueError("split width out of range")
         right_width = self.width - left_width
         return (
-            BitString(self.value >> right_width, left_width),
-            BitString(self.value & ((1 << right_width) - 1), right_width),
+            _unchecked(self.value >> right_width, left_width),
+            _unchecked(self.value & ((1 << right_width) - 1), right_width),
         )
 
     def take(self, n: int) -> "BitString":
         """First n bits (most significant end)."""
         if not 0 < n <= self.width:
             raise ValueError("take width out of range")
-        return BitString(self.value >> (self.width - n), n)
+        return _unchecked(self.value >> (self.width - n), n)
 
     def drop(self, n: int) -> "BitString":
         """All but the first n bits."""
         if not 0 <= n < self.width:
             raise ValueError("drop width out of range")
         w = self.width - n
-        return BitString(self.value & ((1 << w) - 1), w)
+        return _unchecked(self.value & ((1 << w) - 1), w)
 
     def to_hex(self) -> str:
         nibbles = (self.width + 3) // 4
@@ -86,6 +91,19 @@ class BitString:
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.width}b")
+
+
+_set_value = BitString.value.__set__
+_set_width = BitString.width.__set__
+
+
+def _unchecked(value: int, width: int) -> BitString:
+    """BitString without the constructor's checks, for a value already
+    known to fit in width > 0 bits (about half the constructor's cost)."""
+    bs = object.__new__(BitString)
+    _set_value(bs, value)
+    _set_width(bs, width)
+    return bs
 
 
 def parity(x: int) -> int:

@@ -21,31 +21,44 @@ import numpy as np
 from .bits import BitString
 
 
-def _hash_bits(key: BitString, payload: bytes, out_bits: int) -> BitString:
-    key_bytes = key.value.to_bytes((key.width + 7) // 8, "big")
+def _keyed_hash(key: BitString):
+    """blake2b keyed with the key's big-endian bytes (the first 64 of them)."""
+    return hashlib.blake2b(key=key.value.to_bytes((key.width + 7) // 8, "big")[:64])
+
+
+def _hash_bits(keyed, payload: bytes, out_bits: int) -> BitString:
+    """The first out_bits of the 512-bit blocks H(payload || counter),
+    each hashed on a copy of the pre-keyed hash `keyed`."""
     val = 0
     produced = 0
     block = 0
     while produced < out_bits:
-        h = hashlib.blake2b(payload + block.to_bytes(4, "big"), key=key_bytes[:64]).digest()
-        val = (val << 512) | int.from_bytes(h, "big")
+        h = keyed.copy()
+        h.update(payload + block.to_bytes(4, "big"))
+        val = (val << 512) | int.from_bytes(h.digest(), "big")
         produced += 512
         block += 1
     return BitString(val >> (produced - out_bits), out_bits)
 
 
 class IdealPrf:
-    """Random function {0,1}^in_bits -> {0,1}^out_bits fixed by the key."""
+    """Random function {0,1}^in_bits -> {0,1}^out_bits fixed by the key.
+
+    The key schedule (the keyed blake2b state) is computed once here;
+    each eval hashes on a copy of it.
+    """
 
     def __init__(self, key: BitString, in_bits: int, out_bits: int):
         self.key = key
         self.in_bits = in_bits
         self.out_bits = out_bits
+        self._in_bytes = (in_bits + 7) // 8
+        self._keyed = _keyed_hash(key)
 
     def eval(self, x: BitString) -> BitString:
         if x.width != self.in_bits:
             raise ValueError(f"input width {x.width} != declared {self.in_bits}")
-        return _hash_bits(self.key, b"prf" + x.value.to_bytes((self.in_bits + 7) // 8, "big"), self.out_bits)
+        return _hash_bits(self._keyed, b"prf" + x.value.to_bytes(self._in_bytes, "big"), self.out_bits)
 
 
 def make_prf(key: BitString, in_bits: int, out_bits: int) -> IdealPrf:
@@ -109,7 +122,7 @@ def sample_ideal_qprp(key: BitString, domain_bits: int, cap: int = QPRP_DOMAIN_C
     """Uniformly random tabulated permutation, deterministic in the key."""
     if domain_bits > cap:
         raise ValueError(f"domain_bits {domain_bits} exceeds cap {cap}")
-    seed_material = _hash_bits(key, b"qprp", 256)
+    seed_material = _hash_bits(_keyed_hash(key), b"qprp", 256)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_material.value)))
     fwd = gen.permutation(1 << domain_bits).astype(np.int64)
     return Permutation(domain_bits, fwd)

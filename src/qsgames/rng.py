@@ -14,16 +14,16 @@ Two stateful generators feed the ORAM position maps:
     random function, the stand-in for a generator with no usable
     structure.
 
-The brute-force searches against the first generator (seed recovery
-from truncated outputs, exhaustive discrete log) live here too; they
-dominate the runtime of the ORAM separation experiments.  All moduli
-are capped at 2**24 so every intermediate product fits comfortably in
-int64, and the state-recovery search runs off a cached table of
-g**x mod p.
+The searches against the first generator live here too.  Seed
+recovery from truncated outputs reads a lazily built, cached table of
+every seed's truncated outputs and filters it on the observations; the
+discrete log is a baby-step giant-step search.  All moduli are capped
+at 2**24 so every intermediate product fits comfortably in int64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +200,61 @@ def _pow_table(p: int, g: int) -> np.ndarray:
     return table
 
 
+# Largest seed-output table bm_recover_state builds, and the bound on
+# all cached tables together.  Above it the outputs are computed in
+# lockstep for one block of seeds of this size at a time.
+_TABLE_BUDGET_BYTES = 64 << 20
+
+_OUTPUT_TABLE_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _lockstep_outputs(p: int, g: int, n_tag: int, n_tree: int, first: int, stop: int, horizon: int) -> np.ndarray:
+    """Truncated outputs 0..horizon of the seeds first..stop-1.
+
+    Row pos, column i holds output number pos of seed first + i, in the
+    smallest unsigned dtype that holds an n_tree-bit value.  Every seed
+    advances in lockstep through the power table.
+    """
+    table = _pow_table(p, g)
+    half = (p - 1) // 2
+    tree_mask = (1 << n_tree) - 1
+    states = np.arange(first, stop, dtype=np.int64)
+    out = np.empty((horizon + 1, states.size), dtype=np.min_scalar_type(tree_mask))
+    for pos in range(horizon + 1):
+        vals = np.zeros(states.size, dtype=np.int64)
+        for _ in range(n_tag):
+            states = table[states]
+            vals = (vals << 1) | (states < half)
+        out[pos] = vals & tree_mask
+    return out
+
+
+def _output_table(p: int, g: int, n_tag: int, n_tree: int, horizon: int) -> np.ndarray:
+    key = (p, g, n_tag, n_tree, horizon)
+    table = _OUTPUT_TABLE_CACHE.get(key)
+    if table is None:
+        table = _lockstep_outputs(p, g, n_tag, n_tree, 1, p, horizon)
+        if sum(t.nbytes for t in _OUTPUT_TABLE_CACHE.values()) + table.nbytes > _TABLE_BUDGET_BYTES:
+            _OUTPUT_TABLE_CACHE.clear()
+        _OUTPUT_TABLE_CACHE[key] = table
+    return table
+
+
+def _first_fit(outputs: np.ndarray, first: int, obs: dict, predict_pos: int) -> tuple[int, int]:
+    """The first seed whose column of `outputs` (seeds first, first+1,
+    ...) agrees with every observation, and its output at predict_pos."""
+    cand = None
+    for pos, val in obs.items():
+        # the first compare scans a whole row, so the candidates come
+        # out in seed order and stay in it
+        cand = np.flatnonzero(outputs[pos] == val) if cand is None else cand[outputs[pos, cand] == val]
+        if cand.size == 0:
+            return -1, -1
+    col = 0 if cand is None else int(cand[0])
+    prediction = int(outputs[predict_pos, col]) if predict_pos >= 0 else -1
+    return first + col, prediction
+
+
 def bm_recover_state(
     p: int,
     g: int,
@@ -209,55 +264,62 @@ def bm_recover_state(
     expected: list[int],
     predict_pos: int,
 ) -> tuple[int, int]:
-    """Exhaustively search for a seed consistent with truncated outputs.
+    """Search for a seed consistent with truncated outputs.
 
     The generator emits ``n_tag``-bit values (one per n_tag predicate
     bits); observation j says output number positions[j], truncated to
-    its last ``n_tree`` bits, equals expected[j].  Returns the first
-    consistent seed and the truncated output at ``predict_pos``, or
-    (-1, -1) when no seed fits.
+    its last ``n_tree`` bits, equals expected[j] (a repeated position
+    keeps its last value).  Returns the first consistent seed and the
+    truncated output at ``predict_pos``, or (-1, -1) when no seed fits.
+
+    The outputs of every seed up to the furthest position needed are
+    tabulated once per (p, g, n_tag, n_tree, horizon) and cached; a
+    query filters them on the observations.  A table larger than
+    _TABLE_BUDGET_BYTES is never built: the same filter then runs on
+    outputs computed in lockstep, one block of seeds at a time.
     """
     _check_modulus(p)
-    if not positions:
+    if not positions or p < 2:
         return -1, -1
-    table = _pow_table(p, g)
-    half = (p - 1) // 2
-    tree_mask = (1 << n_tree) - 1
-    # every admissible seed advances in lockstep through the power table;
-    # a seed drops out at its first disagreeing truncated output
-    seeds = np.arange(1, p, dtype=np.int64)
-    states = seeds.copy()
-    alive = np.ones(seeds.shape[0], dtype=bool)
-    predictions = np.full(seeds.shape[0], -1, dtype=np.int64)
-    obs = dict(zip(positions, expected))
-    for pos in range(max(max(positions), predict_pos) + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        vals = np.zeros(idx.size, dtype=np.int64)
-        st = states[idx]
-        for _ in range(n_tag):
-            st = table[st]
-            vals = (vals << 1) | (st < half)
-        states[idx] = st
-        vals &= tree_mask
-        if pos in obs:
-            alive[idx] = vals == obs[pos]
-        if pos == predict_pos:
-            predictions[idx] = vals
-    idx = np.flatnonzero(alive)
-    if idx.size == 0:
-        return -1, -1
-    return int(seeds[idx[0]]), int(predictions[idx[0]])
+    horizon = max(max(positions), predict_pos, 0)
+    # a negative position names no output and constrains nothing
+    obs = {pos: val for pos, val in zip(positions, expected) if pos >= 0}
+    seed_bytes = np.min_scalar_type((1 << n_tree) - 1).itemsize * (horizon + 1)
+    if (p - 1) * seed_bytes <= _TABLE_BUDGET_BYTES:
+        return _first_fit(_output_table(p, g, n_tag, n_tree, horizon), 1, obs, predict_pos)
+    block = max(1, _TABLE_BUDGET_BYTES // seed_bytes)
+    for first in range(1, p, block):
+        outputs = _lockstep_outputs(p, g, n_tag, n_tree, first, min(first + block, p), horizon)
+        found = _first_fit(outputs, first, obs, predict_pos)
+        if found[0] >= 0:
+            return found
+    return -1, -1
 
 
 def dlog_bruteforce(p: int, g: int, h: int) -> int:
-    """Smallest x >= 0 with g**x = h (mod p), by exhaustive search."""
+    """Smallest e >= 0 with g**e = h (mod p), by baby-step giant-step.
+
+    Baby steps tabulate g**j for j < m = ceil(sqrt(p - 1)), keeping the
+    first j of each value, so a g of small order still yields the
+    smallest e; giant steps then try h * g**(-m*i) for i < m.  O(sqrt p)
+    time and memory (Shanks, 1971).  ValueError when h is not in the
+    subgroup generated by g, h = 0 included.
+    """
     _check_modulus(p)
     target = h % p
+    if target == 0 or g % p == 0:
+        raise ValueError(f"{h} is not in the subgroup generated by {g} mod {p}")
+    m = math.isqrt(p - 2) + 1
+    baby: dict[int, int] = {}
     x = 1
-    for e in range(p - 1):
-        if x == target:
-            return e
-        x = (x * g) % p
+    for j in range(m):
+        baby.setdefault(x, j)
+        x = x * g % p
+    stride = pow(g, -m, p)
+    y = target
+    for i in range(m):
+        j = baby.get(y)
+        if j is not None:
+            return i * m + j
+        y = y * stride % p
     raise ValueError(f"{h} is not in the subgroup generated by {g} mod {p}")

@@ -133,12 +133,19 @@ class GoldreichScheme:
         self.r_bits = msg_bits if r_bits is None else r_bits
         self.key_bits = msg_bits if key_bits is None else key_bits
         self.perm_bits = msg_bits
+        self._prf_key = None
+        self._prf_of_key = None
 
     def key_gen(self, rand: Rand) -> BitString:
         return rand.bits(self.key_bits)
 
     def _prf(self, key: BitString):
-        return make_prf(key, self.r_bits, self.msg_bits)
+        # an ORAM access encrypts every block of a path under one key,
+        # so the PRF of the last key seen is kept
+        if key != self._prf_key:
+            self._prf_of_key = make_prf(key, self.r_bits, self.msg_bits)
+            self._prf_key = key
+        return self._prf_of_key
 
     def enc(self, key: BitString, m: BitString, rand: Rand = None, r: BitString = None) -> Ciphertext:
         if m.width != self.msg_bits:

@@ -1,6 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsgames.bits import BitString, parity
+
+bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def bitstrings(draw, width=None):
+    width = draw(st.integers(1, 80)) if width is None else width
+    return BitString(draw(st.integers(0, (1 << width) - 1)), width)
+
+
+def same(got, want: BitString) -> None:
+    """got is the BitString the checked constructor builds for want."""
+    assert type(got) is BitString
+    assert (got.value, got.width) == (want.value, want.width)
+    assert got == want and hash(got) == hash(want)
 
 
 def test_xor_example():
@@ -52,3 +69,38 @@ def test_invert_and_json():
 def test_parity():
     assert parity(0b1011) == 1
     assert parity(0) == 0
+
+
+@bounded
+@given(st.data(), bitstrings(), bitstrings())
+def test_algebra_equals_checked_constructor(data, a, other):
+    w, v = a.width, a.value
+    b = data.draw(bitstrings(w))
+    same(a ^ b, BitString(v ^ b.value, w))
+    same(~a, BitString(v ^ ((1 << w) - 1), w))
+    same(~~a, a)
+    joined = a.concat(other)
+    same(joined, BitString((v << other.width) | other.value, w + other.width))
+    left, right = joined.split(w)
+    same(left, a)
+    same(right, other)
+    n = data.draw(st.integers(1, w))
+    same(a.take(n), BitString(v >> (w - n), n))
+    k = data.draw(st.integers(0, w - 1))
+    same(a.drop(k), BitString(v & ((1 << (w - k)) - 1), w - k))
+    same(BitString.from_hex(a.to_hex(), w), a)
+
+
+@bounded
+@given(st.integers(-3, 0), st.integers(1, 80), st.integers(1, 1 << 90))
+def test_constructor_rejects_bad_width_and_range(bad_width, width, excess):
+    with pytest.raises(ValueError):
+        BitString(0, bad_width)
+    with pytest.raises(ValueError):
+        BitString.zeros(bad_width)
+    with pytest.raises(ValueError):
+        BitString(-excess, width)
+    with pytest.raises(ValueError):
+        BitString((1 << width) - 1 + excess, width)
+    with pytest.raises(ValueError):
+        BitString.from_hex(format((1 << width) - 1 + excess, "x"), width)

@@ -1,12 +1,42 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qsgames.bits import BitString
-from qsgames.prf import IdealPrf, Permutation, sample_ideal_qprp
+from qsgames.prf import IdealPrf, Permutation, make_prf, sample_ideal_qprp
 from qsgames.rng import Rand
 
 
+def keyed_constructor_eval(key: BitString, in_bits: int, out_bits: int, x: BitString) -> int:
+    """The PRF as one keyed blake2b constructor call per 512-bit block."""
+    key_bytes = key.value.to_bytes((key.width + 7) // 8, "big")
+    payload = b"prf" + x.value.to_bytes((in_bits + 7) // 8, "big")
+    val, produced, block = 0, 0, 0
+    while produced < out_bits:
+        h = hashlib.blake2b(payload + block.to_bytes(4, "big"), key=key_bytes[:64]).digest()
+        val = (val << 512) | int.from_bytes(h, "big")
+        produced += 512
+        block += 1
+    return val >> (produced - out_bits)
+
+
 class TestIdealPrf:
+    @pytest.mark.parametrize("key_bits,in_bits,out_bits", [
+        (16, 8, 8), (40, 32, 9), (512, 12, 512), (600, 12, 513), (1030, 70, 1500),
+    ])
+    def test_matches_keyed_constructor(self, key_bits, in_bits, out_bits):
+        # keys over 512 bits are cut to their first 64 bytes; outputs
+        # over 512 bits take several counter blocks
+        rand = Rand(key_bits + out_bits)
+        for _ in range(4):
+            key, x = rand.bits(key_bits), rand.bits(in_bits)
+            prf = make_prf(key, in_bits, out_bits)
+            for _ in range(2):
+                got = prf.eval(x)
+                assert got.width == out_bits
+                assert got.value == keyed_constructor_eval(key, in_bits, out_bits, x)
+
     def test_deterministic(self):
         prf = IdealPrf(BitString(0x1234, 16), 8, 8)
         x = BitString(0x5A, 8)

@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsgames import rng
 from qsgames.rng import (
     BlumMicaliPrng,
     CounterPrfPrng,
@@ -17,6 +21,61 @@ def oracle_bm_bits(p, g, s, count):
         s = pow(g, s, p)
         bits.append(1 if s < (p - 1) // 2 else 0)
     return bits, s
+
+
+def lockstep_recover(p, g, n_tag, n_tree, positions, expected, predict_pos):
+    """Reference search: every seed advances in lockstep through a power
+    table and drops out at its first disagreeing truncated output."""
+    if not positions:
+        return -1, -1
+    table = np.array([pow(g, x, p) for x in range(p)], dtype=np.int64)
+    half = (p - 1) // 2
+    tree_mask = (1 << n_tree) - 1
+    seeds = np.arange(1, p, dtype=np.int64)
+    states = seeds.copy()
+    alive = np.ones(seeds.shape[0], dtype=bool)
+    predictions = np.full(seeds.shape[0], -1, dtype=np.int64)
+    obs = dict(zip(positions, expected))
+    for pos in range(max(max(positions), predict_pos) + 1):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        vals = np.zeros(idx.size, dtype=np.int64)
+        st_ = states[idx]
+        for _ in range(n_tag):
+            st_ = table[st_]
+            vals = (vals << 1) | (st_ < half)
+        states[idx] = st_
+        vals &= tree_mask
+        if pos in obs:
+            alive[idx] = vals == obs[pos]
+        if pos == predict_pos:
+            predictions[idx] = vals
+    idx = np.flatnonzero(alive)
+    if idx.size == 0:
+        return -1, -1
+    return int(seeds[idx[0]]), int(predictions[idx[0]])
+
+
+def truncated_outputs(p, g, seed, n_tag, n_tree, count):
+    bits, _ = oracle_bm_bits(p, g, seed, count * n_tag)
+    outputs = []
+    for j in range(count):
+        val = 0
+        for b in bits[j * n_tag:(j + 1) * n_tag]:
+            val = (val << 1) | b
+        outputs.append(val & ((1 << n_tree) - 1))
+    return outputs
+
+
+def dlog_reference(p, g):
+    """Smallest exponent of every element of <g>, by walking the powers."""
+    first = {}
+    x = 1
+    for e in range(p - 1):
+        first.setdefault(x, e)
+        x = x * g % p
+    return first
 
 
 class TestRand:
@@ -79,14 +138,7 @@ class TestRecovery:
     def test_recovers_seed_from_truncated_outputs(self):
         p, g, seed = 12289, 11, 4242
         n_tag, n_tree = 5, 3
-        bits, _ = oracle_bm_bits(p, g, seed, 8 * n_tag)
-        outputs = []
-        for j in range(8):
-            chunk = bits[j * n_tag:(j + 1) * n_tag]
-            val = 0
-            for b in chunk:
-                val = (val << 1) | b
-            outputs.append(val & ((1 << n_tree) - 1))
+        outputs = truncated_outputs(p, g, seed, n_tag, n_tree, 8)
         positions = list(range(6))
         found, prediction = bm_recover_state(p, g, n_tag, n_tree, positions, outputs[:6], 7)
         assert found == seed
@@ -96,6 +148,60 @@ class TestRecovery:
         # 8 observations of 3 bits vastly overconstrain a 13-bit state
         found, prediction = bm_recover_state(12289, 11, 5, 3, list(range(8)), [1, 2, 3, 4, 5, 6, 7, 0], 9)
         assert (found, prediction) == (-1, -1)
+
+    @pytest.mark.parametrize("branch", ["table", "lockstep"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        group=st.sampled_from([(23, 5), (1019, 2), (12289, 11)]),
+        widths=st.sampled_from([(5, 4), (5, 3), (3, 3), (4, 9)]),
+        positions=st.lists(st.integers(2, 12), min_size=1, max_size=7),
+        mode=st.sampled_from(["true", "last-wins", "random", "out-of-range"]),
+        predict_pos=st.integers(0, 16),  # before, inside and after the positions
+    )
+    def test_matches_lockstep_reference(self, branch, data, group, widths, positions, mode, predict_pos):
+        (p, g), (n_tag, n_tree) = group, widths
+        seed = data.draw(st.integers(1, p - 1))
+        truth = truncated_outputs(p, g, seed, n_tag, n_tree, 13)
+        expected = [truth[pos] for pos in positions]
+        if mode == "last-wins":
+            # wrong values on every earlier copy of a repeated position
+            for j, pos in enumerate(positions):
+                if pos in positions[j + 1:]:
+                    expected[j] = (truth[pos] + 1) % (1 << n_tree)
+        elif mode == "random":
+            expected = [data.draw(st.integers(0, (1 << n_tree) - 1)) for _ in positions]
+        elif mode == "out-of-range":
+            expected[data.draw(st.integers(0, len(positions) - 1))] = data.draw(st.sampled_from([-1, 1 << n_tree]))
+        expected = expected[:len(expected) - data.draw(st.integers(0, len(expected)))]
+
+        rng._OUTPUT_TABLE_CACHE.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            if branch == "lockstep":
+                # too small for the table: blocks of 1 to p-2 seeds
+                block = data.draw(st.integers(1 if p < 100 else (p - 1) // 8, p - 2))
+                seed_bytes = np.min_scalar_type((1 << n_tree) - 1).itemsize * (max(positions + [predict_pos]) + 1)
+                mp.setattr(rng, "_TABLE_BUDGET_BYTES", block * seed_bytes)
+            got = bm_recover_state(p, g, n_tag, n_tree, positions, expected, predict_pos)
+        assert got == lockstep_recover(p, g, n_tag, n_tree, positions, expected, predict_pos)
+        assert bool(rng._OUTPUT_TABLE_CACHE) == (branch == "table")
+        if mode == "true" or (mode == "last-wins" and len(expected) == len(positions)):
+            assert got[0] > 0
+
+    @pytest.mark.parametrize("positions,expected,predict_pos", [
+        ([], [], 4), ([], [1], 4), ([-1], [3], -2), ([-2, 3], [0, 5], 4), ([2], [1], -1),
+    ])
+    def test_degenerate_queries_match_reference(self, positions, expected, predict_pos):
+        # no positions, or negative ones: a negative position constrains
+        # nothing and a negative predict_pos predicts nothing
+        want = lockstep_recover(23, 5, 5, 3, positions, expected, predict_pos)
+        assert bm_recover_state(23, 5, 5, 3, positions, expected, predict_pos) == want
+        # a modulus below 2 leaves no seed to return
+        assert bm_recover_state(1, 5, 5, 3, positions, expected, predict_pos) == (-1, -1)
+
+    def test_modulus_cap(self):
+        with pytest.raises(ValueError):
+            bm_recover_state((1 << 24) + 43, 2, 5, 3, [0], [1], 1)
 
 
 class TestDlog:
@@ -111,6 +217,23 @@ class TestDlog:
     def test_matches_pow(self):
         for x in (1, 7, 100, 4095):
             assert dlog_bruteforce(12289, 11, pow(11, x, 12289)) == x
+
+    @pytest.mark.parametrize("p,g", [(23, 5), (23, 2), (12289, 11), (12289, pow(11, 768, 12289))])
+    def test_every_element_matches_reference(self, p, g):
+        # g=2 mod 23 has order 11 and 11**768 mod 12289 order 16: the
+        # smallest exponent must come back, and everything outside <g>
+        # (0 included) must raise
+        first = dlog_reference(p, g)
+        for h in range(p + 2):
+            if h % p in first:
+                assert dlog_bruteforce(p, g, h) == first[h % p]
+            else:
+                with pytest.raises(ValueError):
+                    dlog_bruteforce(p, g, h)
+
+    def test_modulus_cap(self):
+        with pytest.raises(ValueError):
+            dlog_bruteforce((1 << 24) + 43, 2, 5)
 
 
 def test_counter_prng_advances():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qsgames.bits import BitString
-from qsgames.prf import Permutation
+from qsgames.prf import Permutation, make_prf
 from qsgames.rng import Rand
 from qsgames import schemes
 from qsgames.games import TypeOneEncOracle
@@ -78,6 +78,25 @@ class TestGoldreich:
             scheme.enc(k, BitString(0, 9), rand=Rand(6))
         with pytest.raises(ValueError):
             scheme.enc(k, BitString(0, 8), r=BitString(0, 9))
+
+    @pytest.mark.parametrize("msg_bits,r_bits,key_bits", [(8, 8, 8), (9, 32, 40)])
+    def test_alternating_keys_match_fresh_prf(self, msg_bits, r_bits, key_bits):
+        # the scheme keeps the PRF of the last key; alternating keys,
+        # including one equal in value but not in width, must never
+        # reuse the wrong one
+        scheme = GoldreichScheme(msg_bits, r_bits=r_bits, key_bits=key_bits)
+        rand = Rand(8)
+        k1 = scheme.key_gen(rand)
+        keys = [k1, scheme.key_gen(rand), BitString(k1.value, key_bits + 8), BitString(k1.value, key_bits)]
+        for i in range(12):
+            key = keys[i % len(keys)]
+            m, r = rand.bits(msg_bits), rand.bits(r_bits)
+            pad = make_prf(key, r_bits, msg_bits).eval(r)
+            c = scheme.enc(key, m, r=r)
+            assert c.body == m ^ pad
+            assert scheme.dec(key, Ciphertext(c.scheme, m, r=r)) == m ^ pad
+            perm, bits = scheme.enc_perm(key, r)
+            assert bits == msg_bits and perm.apply(m.value) == (m ^ pad).value
 
 
 class TestPrpScheme:
