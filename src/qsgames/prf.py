@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _unchecked
 
 
 def _keyed_hash(key: BitString):
@@ -28,7 +28,9 @@ def _keyed_hash(key: BitString):
 
 def _hash_bits(keyed, payload: bytes, out_bits: int) -> BitString:
     """The first out_bits of the 512-bit blocks H(payload || counter),
-    each hashed on a copy of the pre-keyed hash `keyed`."""
+    each hashed on a copy of the pre-keyed hash `keyed`.  The value fits
+    in out_bits by construction, so for out_bits >= 1 the result skips
+    the constructor's checks."""
     val = 0
     produced = 0
     block = 0
@@ -38,7 +40,7 @@ def _hash_bits(keyed, payload: bytes, out_bits: int) -> BitString:
         val = (val << 512) | int.from_bytes(h.digest(), "big")
         produced += 512
         block += 1
-    return BitString(val >> (produced - out_bits), out_bits)
+    return _unchecked(val >> (produced - out_bits), out_bits)
 
 
 class IdealPrf:
@@ -49,6 +51,8 @@ class IdealPrf:
     """
 
     def __init__(self, key: BitString, in_bits: int, out_bits: int):
+        if in_bits < 1 or out_bits < 1:
+            raise ValueError(f"PRF widths must be positive, got in_bits={in_bits}, out_bits={out_bits}")
         self.key = key
         self.in_bits = in_bits
         self.out_bits = out_bits
@@ -63,6 +67,24 @@ class IdealPrf:
 
 def make_prf(key: BitString, in_bits: int, out_bits: int) -> IdealPrf:
     return IdealPrf(key, in_bits, out_bits)
+
+
+class LastKeyPrf:
+    """make_prf(key, in_bits, out_bits), kept for the last key it was
+    called with: an ORAM access encrypts every block of a path under
+    one key, so a scheme builds its PRF once per key."""
+
+    def __init__(self, in_bits: int, out_bits: int):
+        self.in_bits = in_bits
+        self.out_bits = out_bits
+        self._key = None
+        self._prf = None
+
+    def __call__(self, key: BitString) -> IdealPrf:
+        if key != self._key:
+            self._prf = make_prf(key, self.in_bits, self.out_bits)
+            self._key = key
+        return self._prf
 
 
 QPRP_DOMAIN_CAP = 14

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import BitString
-from .prf import make_prf
+from .prf import LastKeyPrf
 from .quantum import (
     DensityMatrix,
     apply_unitary,
@@ -51,12 +51,13 @@ class Skqes1Scheme:
         self.r_bits = 2 * n_qubits
         self.key_bits = 2 * n_qubits if key_bits is None else key_bits
         self.ciphertext_qubits = n_qubits
+        self._prf = LastKeyPrf(self.r_bits, self.pad_bits)
 
     def key_gen(self, rand: Rand) -> BitString:
         return rand.bits(self.key_bits)
 
     def pad_for(self, key: BitString, r: BitString) -> BitString:
-        return make_prf(key, self.r_bits, self.pad_bits).eval(r)
+        return self._prf(key).eval(r)
 
     def enc(self, key: BitString, phi: DensityMatrix, rand: Rand = None, r: BitString = None) -> QCiphertext:
         if phi.n_qubits != self.n_qubits:

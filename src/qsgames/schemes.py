@@ -26,7 +26,7 @@ import numpy as np
 import sympy
 
 from .bits import BitString, parity
-from .prf import Permutation, make_prf, sample_ideal_qprp
+from .prf import LastKeyPrf, Permutation, sample_ideal_qprp
 from .rng import Rand
 
 
@@ -133,19 +133,10 @@ class GoldreichScheme:
         self.r_bits = msg_bits if r_bits is None else r_bits
         self.key_bits = msg_bits if key_bits is None else key_bits
         self.perm_bits = msg_bits
-        self._prf_key = None
-        self._prf_of_key = None
+        self._prf = LastKeyPrf(self.r_bits, self.msg_bits)
 
     def key_gen(self, rand: Rand) -> BitString:
         return rand.bits(self.key_bits)
-
-    def _prf(self, key: BitString):
-        # an ORAM access encrypts every block of a path under one key,
-        # so the PRF of the last key seen is kept
-        if key != self._prf_key:
-            self._prf_of_key = make_prf(key, self.r_bits, self.msg_bits)
-            self._prf_key = key
-        return self._prf_of_key
 
     def enc(self, key: BitString, m: BitString, rand: Rand = None, r: BitString = None) -> Ciphertext:
         if m.width != self.msg_bits:

@@ -37,6 +37,13 @@ class TestIdealPrf:
                 assert got.width == out_bits
                 assert got.value == keyed_constructor_eval(key, in_bits, out_bits, x)
 
+    @pytest.mark.parametrize("in_bits,out_bits", [(0, 8), (8, 0), (-1, 8), (8, -3)])
+    def test_rejects_widths_below_one(self, in_bits, out_bits):
+        with pytest.raises(ValueError, match="widths must be positive"):
+            IdealPrf(BitString(1, 8), in_bits, out_bits)
+        with pytest.raises(ValueError, match="widths must be positive"):
+            make_prf(BitString(1, 8), in_bits, out_bits)
+
     def test_deterministic(self):
         prf = IdealPrf(BitString(0x1234, 16), 8, 8)
         x = BitString(0x5A, 8)

@@ -1,14 +1,18 @@
-"""Property tests for the tree-ORAM core shared by both ORAMs.
+"""Property tests for the tree-ORAM core shared by both ORAMs and for
+the quantum kernels on its hot path.
 
 Example counts are bounded and the search is derandomized, so the
 suite stays fast and every run checks the same cases.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsgames import quantum
 from qsgames.bits import BitString
 from qsgames.oram import (
     DataRequest,
@@ -20,7 +24,16 @@ from qsgames.oram import (
     run_trace,
 )
 from qsgames.qoram import QuantumDataRequest, qoram_access, qoram_init
-from qsgames.quantum import DensityMatrix, trace_distance
+from qsgames.quantum import (
+    DensityMatrix,
+    StateVector,
+    _pick_outcome,
+    maximally_mixed,
+    measure_computational,
+    qotp_apply,
+    qotp_average,
+    trace_distance,
+)
 from qsgames.rng import Rand
 
 N_DAT = 4
@@ -163,3 +176,147 @@ def test_quantum_stored_views_match_rebuild(n_db, n_bkt, seed, data):
         before = quantum_views(server.nodes)
         _, _, tr = qoram_access(client, server, QuantumDataRequest(op, rid, payload))
         check_stored_views(server, quantum_views, before, tr.leaf, tr.down_digests, tr.up_digests)
+
+
+# The Pauli mask and the density-matrix measurement read cached index
+# tables.  The references below are the kernels as they were before the
+# tables: np.ix_ gathers and an np.outer projector mask.
+
+
+def reference_qotp(key: BitString, state, targets=None) -> np.ndarray:
+    n = state.n_qubits
+    targets = range(n) if targets is None else targets
+    k = len(targets)
+    flip = sign = 0
+    v = key.value
+    for j, t in enumerate(targets):
+        pair = (v >> (2 * (k - 1 - j))) & 3
+        flip |= (pair >> 1) << (n - 1 - t)
+        sign |= (pair & 1) << (n - 1 - t)
+    idx = np.arange(1 << n)
+    phase = 1.0 - 2.0 * (np.bitwise_count(idx & sign) & 1)
+    if isinstance(state, StateVector):
+        return phase * state.amps[idx ^ flip]
+    src = state.mat[np.ix_(idx ^ flip, idx ^ flip)]
+    return (phase[:, None] * phase[None, :]) * src
+
+
+def reference_measure(state: DensityMatrix, targets: list, rand: Rand, force=None):
+    n = state.n_qubits
+    diag = np.real(np.diag(state.mat)).reshape([2] * n)
+    other = tuple(q for q in range(n) if q not in targets)
+    probs = diag.sum(axis=other) if other else diag
+    probs = np.transpose(probs, np.argsort(np.argsort(targets))).reshape(-1)
+    outcome = _pick_outcome(probs, rand, force)
+    idx = np.arange(1 << n)
+    mask = np.ones(1 << n, dtype=bool)
+    for i, t in enumerate(targets):
+        bit = (outcome >> (len(targets) - 1 - i)) & 1
+        mask &= ((idx >> (n - 1 - t)) & 1) == bit
+    post = np.where(np.outer(mask, mask), state.mat, 0.0) / probs[outcome]
+    return outcome, post
+
+
+def random_state(kind: str, n: int, seed: int):
+    rand = Rand(seed)
+    if kind == "vector":
+        return StateVector.random(n, rand)
+    if kind == "pure":
+        return DensityMatrix.random_pure(n, rand)
+    return DensityMatrix.random_mixed(n, rand, env_qubits=2)
+
+
+@st.composite
+def target_lists(draw, n: int):
+    """A random subset of range(n), in a random order."""
+    order = draw(st.permutations(range(n)))
+    return list(order[:draw(st.integers(1, n))])
+
+
+kernel_cases = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@kernel_cases
+@given(st.sampled_from(["vector", "pure", "mixed"]), st.integers(1, 6), st.integers(0, 2**16),
+       st.booleans(), st.data())
+def test_qotp_apply_matches_reference(kind, n, seed, all_qubits, data):
+    state = random_state(kind, n, seed)
+    targets = None if all_qubits else data.draw(target_lists(n))
+    k = n if targets is None else len(targets)
+    key = BitString(data.draw(st.integers(0, (1 << (2 * k)) - 1)), 2 * k)
+    out = qotp_apply(key, state, targets)
+    got = out.amps if kind == "vector" else out.mat
+    assert got.tobytes() == reference_qotp(key, state, targets).tobytes()
+
+    # the mask is self-inverse: exactly on a density matrix, up to the
+    # global sign of (XZ)^2 = -I on a vector
+    twice = qotp_apply(key, out, targets)
+    if kind == "vector":
+        assert np.array_equal(twice.amps, state.amps) or np.array_equal(twice.amps, -state.amps)
+    else:
+        assert np.array_equal(twice.mat, state.mat)
+
+
+@kernel_cases
+@given(st.sampled_from(["pure", "mixed"]), st.integers(1, 6), st.integers(0, 2**16),
+       st.booleans(), st.data())
+def test_measure_computational_matches_reference(kind, n, seed, forced, data):
+    state = random_state(kind, n, seed)
+    targets = data.draw(target_lists(n))
+    force = data.draw(st.integers(0, (1 << len(targets)) - 1)) if forced else None
+    mine, ref = Rand(seed + 1), Rand(seed + 1)
+    try:
+        want = reference_measure(state, targets, ref, force)
+    except ValueError:
+        with pytest.raises(ValueError):
+            measure_computational(state, targets, mine, force)
+        return
+    outcome, post = measure_computational(state, targets, mine, force)
+    assert outcome == BitString(want[0], len(targets))
+    assert post.mat.tobytes() == want[1].tobytes()
+    # both drew the same randomness, and no more
+    assert mine.numpy().bit_generator.state == ref.numpy().bit_generator.state
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(0, 2**16))
+def test_qotp_average_is_maximally_mixed(n, seed):
+    rho = DensityMatrix.random_mixed(n, Rand(seed))
+    assert np.abs(qotp_average(rho).mat - maximally_mixed(n).mat).max() <= 1e-10
+
+
+def test_cached_tables_stay_within_budget(monkeypatch):
+    monkeypatch.setattr(quantum, "_TABLE_CACHE", {})
+    monkeypatch.setattr(quantum, "_cached_bytes", 0)
+    budget = quantum._TABLE_BUDGET_BYTES
+    rand = Rand(11)
+    states = {n: DensityMatrix.random_pure(n, rand) for n in (9, 10)}
+    biggest = states[10].mat.nbytes
+
+    def cached_bytes() -> int:
+        total = 0
+        for tables in quantum._TABLE_CACHE.values():
+            parts = tables if isinstance(tables, tuple) else (tables,)
+            total += sum(a.nbytes for a in parts if isinstance(a, np.ndarray))
+        return total
+
+    tracemalloc.start()
+    try:
+        for i in range(24):
+            n = 9 if i % 6 else 10
+            state = states[n]
+            qotp_apply(rand.bits(2 * n), state)
+            targets = [int(t) for t in rand.numpy().permutation(n)[: 1 + i % n]]
+            measure_computational(state, targets, rand)
+            assert cached_bytes() <= budget
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the tables kept plus the working copies of one 10-qubit call
+    assert peak <= budget + 3 * biggest
+
+    assert quantum._TABLE_CACHE
+    for tables in quantum._TABLE_CACHE.values():
+        array = tables[-1] if isinstance(tables, tuple) else tables
+        with pytest.raises(ValueError):
+            array.flat[0] = 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsgames.bits import BitString
+from qsgames.prf import make_prf
 from qsgames.qscheme import PkqesScheme, QCiphertext, Skqes1Scheme, Type2LiftScheme, skqes_type2_lift
 from qsgames.quantum import (
     DensityMatrix,
@@ -62,6 +63,27 @@ class TestSkqes1:
                 acc += qotp_apply(BitString(pad_val, 2 * n), phi).mat
             acc /= 1 << (2 * n)
             assert np.abs(acc - np.eye(dim) / dim).max() < 1e-10
+
+    @pytest.mark.parametrize("n_qubits,key_bits", [(3, None), (2, 40)])
+    def test_alternating_keys_match_fresh_prf(self, n_qubits, key_bits):
+        # the scheme keeps the PRF of the last key; alternating keys,
+        # including one equal in value but not in width, must never
+        # reuse the wrong one
+        scheme = Skqes1Scheme(n_qubits, key_bits=key_bits)
+        rand = Rand(8)
+        k1 = scheme.key_gen(rand)
+        keys = [k1, scheme.key_gen(rand), BitString(k1.value, scheme.key_bits + 8),
+                BitString(k1.value, scheme.key_bits)]
+        for i in range(12):
+            key = keys[i % len(keys)]
+            phi = DensityMatrix.random_pure(n_qubits, rand)
+            r = rand.bits(scheme.r_bits)
+            pad = make_prf(key, scheme.r_bits, scheme.pad_bits).eval(r)
+            assert scheme.pad_for(key, r) == pad
+            c = scheme.enc(key, phi, r=r)
+            assert c.payload.mat.tobytes() == qotp_apply(pad, phi).mat.tobytes()
+            back = scheme.dec(key, QCiphertext(phi, r=r))
+            assert back.mat.tobytes() == qotp_apply(pad, phi).mat.tobytes()
 
     def test_width_errors(self):
         scheme = Skqes1Scheme(2)
