@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
-from .rng import Rand, dlog_bruteforce
+from .rng import Rand, dlog_bruteforce, is_prime
 
 
 @dataclass(frozen=True)
@@ -30,9 +28,9 @@ class SchnorrGroup:
     g: int
 
     def __post_init__(self):
-        if not sympy.isprime(self.q):
+        if not is_prime(self.q):
             raise ValueError("subgroup order must be prime")
-        if not sympy.isprime(self.p):
+        if not is_prime(self.p):
             raise ValueError("modulus must be prime")
         if (self.p - 1) % self.q:
             raise ValueError("subgroup order must divide p - 1")

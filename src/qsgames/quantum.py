@@ -1,10 +1,11 @@
 """Exact small-scale quantum state simulation.
 
-Statevectors over at most QUBIT_CAP qubits and density matrices over at
-most DENSITY_QUBIT_CAP (checked before the matrix is allocated), the
-gate set needed by the games (Hadamard, Paulis, CNOT, SWAP, classical
-oracles), the Pauli masking scheme, partial trace, trace distance, and
-the averaged-permutation channel with its closed form.
+Statevectors over at most QUBIT_CAP qubits, density matrices and
+oracle unitaries over at most DENSITY_QUBIT_CAP (checked before the
+dense 2**n x 2**n matrix is allocated), the gate set needed by the
+games (Hadamard, Paulis, CNOT, SWAP, classical oracles), the Pauli
+masking scheme, partial trace, trace distance, and the
+averaged-permutation channel with its closed form.
 
 Conventions: qubit 0 is the most significant bit of the basis index,
 so |x, y> lives at index x * 2**|y| + y.  States are compared through
@@ -61,7 +62,7 @@ def _check_cap(n: int) -> None:
 def _check_density_cap(n: int) -> None:
     if n > DENSITY_QUBIT_CAP:
         mib = 16 << (2 * n) >> 20
-        raise ValueError(f"a {n}-qubit density matrix ({mib} MiB) exceeds the density-matrix "
+        raise ValueError(f"a dense {n}-qubit matrix ({mib} MiB) exceeds the density-matrix "
                          f"cap of {DENSITY_QUBIT_CAP} qubits")
     _check_cap(n)
 
@@ -290,7 +291,7 @@ def type1_oracle(f, in_bits: int, out_bits: int) -> UnitaryOp:
         raise ValueError(f"function table must have {1 << in_bits} entries")
     if table.min() < 0 or table.max() >= (1 << out_bits):
         raise ValueError("table values do not fit the output width")
-    _check_cap(in_bits + out_bits)
+    _check_density_cap(in_bits + out_bits)
     cols = np.arange(1 << (in_bits + out_bits), dtype=np.int64)
     x = cols >> out_bits
     y = cols & ((1 << out_bits) - 1)
@@ -303,7 +304,7 @@ def type1_oracle(f, in_bits: int, out_bits: int) -> UnitaryOp:
 def type2_oracle(perm: Permutation) -> UnitaryOp:
     """In-place encryption unitary |x> -> |perm(x)>; the adjoint is the
     decryption operator of the inverse permutation."""
-    _check_cap(perm.domain_bits)
+    _check_density_cap(perm.domain_bits)
     return _permutation_unitary(perm.forward.copy(), perm.domain_bits)
 
 
@@ -328,7 +329,7 @@ def type1_from_type2(enc2: UnitaryOp, dec2: UnitaryOp) -> UnitaryOp:
         raise ValueError("width mismatch between encryption and decryption operators")
     if not np.array_equal(dec2.mapping[enc2.mapping], np.arange(1 << d)):
         raise ValueError("operators are not mutually inverse")
-    _check_cap(2 * d)
+    _check_density_cap(2 * d)
     size = 1 << (2 * d)
     z = np.arange(size, dtype=np.int64)
     a, b = z >> d, z & ((1 << d) - 1)
@@ -350,6 +351,7 @@ def type2_from_type1(enc1: UnitaryOp, dec1: UnitaryOp) -> UnitaryOp:
     if enc1.n_qubits != dec1.n_qubits or enc1.n_qubits % 2:
         raise ValueError("operators must act on matching (x, y) registers")
     two_d = enc1.n_qubits
+    _check_density_cap(two_d)
     d = two_d // 2
     size = 1 << two_d
     z = np.arange(size, dtype=np.int64)

@@ -19,15 +19,20 @@ recovery from truncated outputs reads a lazily built, cached table of
 every seed's truncated outputs and filters it on the observations; the
 discrete log is a baby-step giant-step search.  All moduli are capped
 at 2**24 so every intermediate product fits comfortably in int64.
+
+The number theory the toy groups and keys need (primality, the next
+prime, the distinct prime factors) is here as well: a deterministic
+Miller-Rabin test and trial division, exact at every size in use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from .bits import BitString
 
@@ -91,13 +96,81 @@ class PrngState:
     emitted: int = 0
 
 
+# Miller-Rabin with the first 12 primes as bases decides every n below
+# psi_12 exactly (Sorenson & Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for integers below psi_12 ~ 3.19e23.
+
+    Trial division by the 12 base primes, then strong-probable-prime
+    tests to each of them.  ValueError at n >= psi_12, where these bases
+    are no longer known to decide every case.
+    """
+    n = operator.index(n)
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(n: int) -> int:
+    """The smallest prime greater than n (2 for every n < 2)."""
+    n = operator.index(n)
+    if n < 2:
+        return 2
+    c = (n + 1) | 1  # the smallest odd number above n
+    while not is_prime(c):
+        c += 2
+    return c
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1 in increasing order, by
+    trial division (O(sqrt n) steps)."""
+    factors = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+# every ORAM trial builds a fresh generator over the same group, so
+# passing checks are remembered (a failing one raises and is not)
+@functools.lru_cache(maxsize=16)
 def _check_group(p: int, g: int) -> None:
-    if not sympy.isprime(p):
+    # the cap also bounds the trial division of p - 1 to 2**12 steps
+    _check_modulus(p)
+    if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if not 1 < g < p:
         raise ValueError(f"g={g} generates a trivial subgroup")
     # require a primitive root so the state walk covers the full group
-    for q in sympy.factorint(p - 1):
+    for q in _prime_factors(p - 1):
         if pow(g, (p - 1) // q, p) == 1:
             raise ValueError(f"g={g} is not a generator mod {p}")
 

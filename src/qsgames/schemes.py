@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from .bits import BitString, parity
 from .prf import LastKeyPrf, Permutation, sample_ideal_qprp
-from .rng import Rand
+from .rng import Rand, next_prime
 
 
 class Bot:
@@ -332,8 +331,8 @@ def owtp_gen(rand: Rand, bits: int = 16) -> TrapdoorKeyPair:
         raise ValueError("modulus size must be in [4, 32] bits")
     half = bits // 2
     while True:
-        p = sympy.nextprime(rand.integer(1 << (half - 1), 1 << half))
-        q = sympy.nextprime(rand.integer(1 << (half - 1), 1 << half))
+        p = next_prime(rand.integer(1 << (half - 1), 1 << half))
+        q = next_prime(rand.integer(1 << (half - 1), 1 << half))
         n = p * q
         if p != q and n < MODULUS_CAP:
             break

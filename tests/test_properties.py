@@ -1,5 +1,6 @@
-"""Property tests for the tree-ORAM core shared by both ORAMs and for
-the quantum kernels on its hot path.
+"""Property tests for the tree-ORAM core shared by both ORAMs, the
+quantum kernels on its hot path, the permutation and oracle algebra,
+and the parsing of experiment parameters.
 
 Example counts are bounded and the search is derandomized, so the
 suite stays fast and every run checks the same cases.
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from qsgames import quantum
 from qsgames.bits import BitString
+from qsgames.cli import load_config, parse_params
 from qsgames.oram import (
     DataRequest,
     OramParams,
@@ -23,16 +25,22 @@ from qsgames.oram import (
     oram_init,
     run_trace,
 )
+from qsgames.prf import Permutation
 from qsgames.qoram import QuantumDataRequest, qoram_access, qoram_init
 from qsgames.quantum import (
     DensityMatrix,
     StateVector,
+    _compose_maps,
     _pick_outcome,
     maximally_mixed,
     measure_computational,
     qotp_apply,
     qotp_average,
     trace_distance,
+    type1_from_type2,
+    type1_oracle,
+    type2_from_type1,
+    type2_oracle,
 )
 from qsgames.rng import Rand
 
@@ -320,3 +328,108 @@ def test_cached_tables_stay_within_budget(monkeypatch):
         array = tables[-1] if isinstance(tables, tuple) else tables
         with pytest.raises(ValueError):
             array.flat[0] = 1
+
+
+# Permutations and the classical-function oracles built from them.  The
+# references below walk the circuits one basis index at a time in plain
+# Python integers.
+
+
+@st.composite
+def permutation_tables(draw, max_bits: int):
+    bits = draw(st.integers(1, max_bits))
+    return bits, draw(st.permutations(range(1 << bits)))
+
+
+@bounded
+@given(permutation_tables(6))
+def test_permutation_inverse_and_from_fn(case):
+    bits, table = case
+    perm = Permutation(bits, table)
+    inv = perm.inverted()
+    ident = list(range(1 << bits))
+    assert inv.forward[perm.forward].tolist() == ident
+    assert perm.forward[inv.forward].tolist() == ident
+    assert [inv.apply(perm.apply(x)) for x in ident] == ident
+    assert inv.inverted().forward.tolist() == list(table)
+    assert Permutation.from_fn(lambda x: table[x], bits).forward.tolist() == list(table)
+
+
+@bounded
+@given(st.integers(1, 6), st.data())
+def test_compose_maps_is_associative_and_applies_in_order(bits, data):
+    maps = [np.array(data.draw(st.permutations(range(1 << bits))), dtype=np.int64)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    total = _compose_maps(*maps)
+    want = []
+    for x in range(1 << bits):
+        for step in maps:
+            x = int(step[x])
+        want.append(x)
+    assert total.tolist() == want
+    for cut in range(1, len(maps)):
+        left, right = _compose_maps(*maps[:cut]), _compose_maps(*maps[cut:])
+        assert _compose_maps(left, right).tolist() == want
+
+
+@bounded
+@given(permutation_tables(4))
+def test_oracle_conversions_match_direct_oracles(case):
+    d, table = case
+    perm = Permutation(d, table)
+    fwd, inv = perm.forward.tolist(), perm.inverse.tolist()
+    low = (1 << d) - 1
+
+    # type-2 access -> type-1 oracle: |a, b> -> |a, b xor perm(a)>
+    built1 = type1_from_type2(type2_oracle(perm), type2_oracle(perm.inverted()))
+    direct1 = type1_oracle(perm.forward, d, d)
+    assert built1.mapping.tolist() == direct1.mapping.tolist()
+    assert np.array_equal(built1.matrix, direct1.matrix)
+    assert direct1.mapping.tolist() == [(z & ~low) | ((z & low) ^ fwd[z >> d]) for z in range(1 << 2 * d)]
+
+    # type-1 oracles -> in-place operator: enc on (A, B), dec on (B, A),
+    # then SWAP; |x, 0> goes to |perm(x), 0>
+    built2 = type2_from_type1(direct1, type1_oracle(perm.inverse, d, d))
+    want = []
+    for z in range(1 << 2 * d):
+        a, b = z >> d, z & low
+        b ^= fwd[a]
+        a ^= inv[b]
+        want.append((b << d) | a)
+    assert built2.mapping.tolist() == want
+    assert [built2.mapping[x << d] for x in range(1 << d)] == [y << d for y in fwd]
+    assert np.array_equal(np.flatnonzero(built2.matrix.T), np.arange(1 << 2 * d) * (1 << 2 * d) + want)
+
+
+# --param key=value and --config FILE share one grammar: the key and the
+# value are stripped, the value becomes an int, else a float, else stays
+# a string; the config file also skips blank and '#' lines.
+
+param_keys = st.text(st.sampled_from("abcdefgh_xyz0123"), min_size=1, max_size=8)
+param_values = st.one_of(
+    st.integers(-10**12, 10**12).map(lambda v: (str(v), v)),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: (repr(v), v)),
+    # booleans, and strings with '=' in them, stay strings
+    st.sampled_from(["true", "false", "True"]).map(lambda v: (v, v)),
+    st.builds(lambda a, b: f"{a}={b}".strip(), st.text(st.sampled_from("ab-z="), max_size=5),
+              st.text(st.sampled_from("cd =z"), max_size=5)).map(lambda v: (v, v)),
+)
+padding = st.text(st.sampled_from(" \t"), max_size=3)
+
+
+@bounded
+@given(st.dictionaries(param_keys, param_values, min_size=1, max_size=6), st.data())
+def test_param_and_config_parse_alike(tmp_path_factory, items, data):
+    pairs, lines = [], []
+    for key, (text, _) in items.items():
+        pad = [data.draw(padding) for _ in range(4)]
+        pairs.append(f"{pad[0]}{key}{pad[1]}={pad[2]}{text}{pad[3]}")
+        lines += data.draw(st.lists(st.sampled_from(["", "   ", "# a comment", "  #x=1"]), max_size=2))
+        lines.append(pairs[-1])
+    config = tmp_path_factory.mktemp("config") / "params.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    want = {key: value for key, (_, value) in items.items()}
+    got = parse_params(pairs)
+    assert got == want
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    assert load_config(str(config)) == got

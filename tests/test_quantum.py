@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,34 @@ class TestOracles:
     def test_non_injective_still_unitary(self):
         op = type1_oracle([5, 5, 5, 5], 2, 3)
         assert np.allclose(op.matrix @ op.matrix.conj().T, np.eye(32))
+
+    def test_dense_cap_is_checked_before_allocating(self):
+        # an 11-qubit oracle matrix would take 64 MiB, within the
+        # 12-qubit statevector cap but over the density-matrix cap
+        zeros = np.zeros(1 << 5, dtype=np.int64)
+        perm6, perm11 = Permutation.identity(6), Permutation.identity(11)
+        # stands in for a 12-qubit permutation operator, whose matrix
+        # alone would take 256 MiB
+        op12 = SimpleNamespace(n_qubits=12, mapping=np.arange(1 << 12))
+        builders = (
+            lambda: type1_oracle(zeros, 5, 6),
+            lambda: type2_oracle(perm11),
+            lambda: type1_from_type2(type2_oracle(perm6), type2_oracle(perm6)),
+            lambda: type2_from_type1(op12, op12),
+        )
+        for build in builders:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="density-matrix cap of 10 qubits"):
+                    build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+        perm5 = Permutation.identity(5)
+        assert type1_oracle(zeros, 5, 5).n_qubits == 10
+        assert type2_oracle(Permutation.identity(10)).n_qubits == 10
+        assert type1_from_type2(type2_oracle(perm5), type2_oracle(perm5)).n_qubits == 10
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,15 @@ from qsgames.rng import (
     BlumMicaliPrng,
     CounterPrfPrng,
     Rand,
+    _prime_factors,
     bm_recover_state,
     bm_stream_bits,
     dlog_bruteforce,
+    is_prime,
+    next_prime,
 )
+
+PSI_12 = 318_665_857_834_031_151_167_461
 
 
 def oracle_bm_bits(p, g, s, count):
@@ -68,6 +73,16 @@ def truncated_outputs(p, g, seed, n_tag, n_tree, count):
     return outputs
 
 
+def sieve(limit):
+    """Primality of every n < limit, by the sieve of Eratosthenes."""
+    flags = np.ones(limit, dtype=bool)
+    flags[:2] = False
+    for q in range(2, int(limit ** 0.5) + 1):
+        if flags[q]:
+            flags[q * q::q] = False
+    return flags
+
+
 def dlog_reference(p, g):
     """Smallest exponent of every element of <g>, by walking the powers."""
     first = {}
@@ -112,10 +127,26 @@ class TestBlumMicali:
     def test_degenerate_generator_rejected(self):
         with pytest.raises(ValueError):
             BlumMicaliPrng(23, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p=24 is not prime"):
             BlumMicaliPrng(24, 5, 3)  # composite modulus
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="g=2 is not a generator mod 23"):
             BlumMicaliPrng(23, 2, 3)  # order 11, not a generator
+
+    def test_modulus_cap(self):
+        # 7 is a primitive root of the prime 2**31 - 1; the cap that
+        # bounds the searches also bounds the factoring of p - 1
+        with pytest.raises(ValueError, match="exceeds brute-force cap 2\\*\\*24"):
+            BlumMicaliPrng(2**31 - 1, 7, 5)
+        assert BlumMicaliPrng(8388617, 3, 5).p == 8388617
+
+    def test_group_check_remembers_only_passes(self):
+        rng._check_group.cache_clear()
+        for seed in (1, 2, 3):
+            BlumMicaliPrng(65537, 3, seed)
+            with pytest.raises(ValueError, match="not a generator"):
+                BlumMicaliPrng(65537, 2, seed)
+        info = rng._check_group.cache_info()
+        assert (info.hits, info.currsize) == (2, 1)
 
     def test_stream_matches_independent_oracle(self):
         expect_bits, expect_state = oracle_bm_bits(23, 5, 3, 40)
@@ -234,6 +265,54 @@ class TestDlog:
     def test_modulus_cap(self):
         with pytest.raises(ValueError):
             dlog_bruteforce((1 << 24) + 43, 2, 5)
+
+
+class TestPrimes:
+    def test_is_prime_matches_sieve(self):
+        flags = sieve(1 << 20)
+        assert [n for n in range(1 << 20) if is_prime(n)] == np.flatnonzero(flags).tolist()
+        assert not any(is_prime(n) for n in range(-5, 0))
+
+    @pytest.mark.parametrize("n", [
+        3_215_031_751,  # 151 * 751 * 28351: strong pseudoprime to bases 2, 3, 5 and 7
+        3_825_123_056_546_413_051,  # strong pseudoprime to every prime base up to 31; only 37 rejects it
+        561, 1729, 294_409,  # Carmichael numbers
+        56_052_361, 118_901_521,  # Carmichael numbers with no factor below 200
+    ])
+    def test_rejects_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 2**61 - 1, 2**64 - 59, 8389163, 4194581])
+    def test_accepts_large_primes(self, n):
+        assert is_prime(n)
+
+    def test_raises_at_bound(self, monkeypatch):
+        for n in (PSI_12, PSI_12 + 1, 1 << 80):
+            with pytest.raises(ValueError, match="exact only below"):
+                is_prime(n)
+        # psi_12 = 399165290221 * 798330580441 passes all 12 bases, so
+        # the test without its bound would call it prime
+        monkeypatch.setattr(rng, "_MR_EXACT_BELOW", 1 << 80)
+        assert is_prime(PSI_12)
+
+    def test_next_prime_matches_sieve(self):
+        primes = np.flatnonzero(sieve((1 << 20) + 100))
+        inputs = np.random.default_rng(7).integers(0, 1 << 20, size=2000).tolist()
+        for n in inputs + [-3, 0, 1, 2, 3, 4, 7, 8, (1 << 20) - 1]:
+            want = int(primes[np.searchsorted(primes, n, side="right")])
+            assert next_prime(n) == want, n
+
+    def test_prime_factors_multiply_back(self):
+        inputs = np.random.default_rng(8).integers(1, 1 << 24, size=500).tolist()
+        for n in inputs + [1, 2, 4, 65536, 65537 - 1, 8389163 - 1, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]:
+            factors = _prime_factors(n)
+            assert factors == sorted(set(factors)) and all(is_prime(q) for q in factors)
+            rest = n
+            for q in factors:
+                assert rest % q == 0
+                while rest % q == 0:
+                    rest //= q
+            assert rest == 1, n
 
 
 def test_counter_prng_advances():
