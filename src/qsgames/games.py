@@ -189,11 +189,9 @@ class TypeOneEncOracle:
         self._scheme = scheme
         self._key = key
         self._rand = rand
-        self.calls = 0
 
     def query(self, state: StateVector, x_targets: list[int], y_targets: list[int],
               r: BitString | None = None):
-        self.calls += 1
         if self._scheme.r_bits and r is None:
             r = self._rand.bits(self._scheme.r_bits)
         op = type1_oracle(self.table(r), self._scheme.msg_bits, len(y_targets))
@@ -265,10 +263,8 @@ class Type2EncOracle:
         self._scheme = scheme
         self._key = key
         self._rand = rand
-        self.calls = 0
 
     def encrypt(self, phi: DensityMatrix):
-        self.calls += 1
         return self._scheme.enc(self._key, phi, rand=self._rand)
 
 

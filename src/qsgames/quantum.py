@@ -1,16 +1,20 @@
 """Exact small-scale quantum state simulation.
 
 Statevectors over at most QUBIT_CAP qubits, density matrices and
-oracle unitaries over at most DENSITY_QUBIT_CAP (checked before the
-dense 2**n x 2**n matrix is allocated), the gate set needed by the
-games (Hadamard, Paulis, CNOT, SWAP, classical oracles), the Pauli
-masking scheme, partial trace, trace distance, and the
-averaged-permutation channel with its closed form.
+classical-function oracles over at most DENSITY_QUBIT_CAP (checked
+before the dense 2**n x 2**n matrix is allocated), the gate set needed
+by the games (Hadamard, Paulis, CNOT, SWAP, classical oracles), the
+Pauli masking scheme, partial trace, trace distance, and the
+averaged-permutation channel with its closed form.  Oracles are basis
+permutations and are kept as index maps; their dense matrix is built
+only when read.
 
 Conventions: qubit 0 is the most significant bit of the basis index,
-so |x, y> lives at index x * 2**|y| + y.  States are compared through
-density matrices or overlap, never raw amplitudes, since global phase
-is unphysical.
+so |x, y> lives at index x * 2**|y| + y.  Every kernel views a state
+as a tensor with one axis per qubit index: n axes for a statevector,
+2n for a density matrix (row qubit t on axis t, column qubit t on
+axis n + t).  States are compared through density matrices or
+overlap, never raw amplitudes, since global phase is unphysical.
 """
 
 from __future__ import annotations
@@ -108,9 +112,6 @@ class StateVector:
         """|<self|other>|^2, the phase-insensitive comparison."""
         return float(abs(np.vdot(self.amps, other.amps)) ** 2)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
 
 @dataclass
 class DensityMatrix:
@@ -180,7 +181,6 @@ def maximally_mixed(n_qubits: int) -> DensityMatrix:
 class UnitaryOp:
     n_qubits: int
     matrix: np.ndarray
-    mapping: np.ndarray | None = field(default=None, repr=False)  # set for permutation unitaries
     check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
@@ -193,12 +193,31 @@ class UnitaryOp:
             if err > ATOL_UNITARY:
                 raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
 
-    def adjoint(self) -> "UnitaryOp":
-        inv_map = None
-        if self.mapping is not None:
-            inv_map = np.empty_like(self.mapping)
-            inv_map[self.mapping] = np.arange(self.mapping.shape[0])
-        return UnitaryOp(self.n_qubits, self.matrix.conj().T, mapping=inv_map, check=False)
+
+@dataclass
+class PermutationOp:
+    """The basis permutation |z> -> |mapping[z]>, kept as its index map."""
+
+    n_qubits: int
+    mapping: np.ndarray
+
+    def __post_init__(self):
+        self.mapping = np.asarray(self.mapping, dtype=np.int64)
+        if not np.array_equal(np.sort(self.mapping), np.arange(1 << self.n_qubits)):
+            raise ValueError("mapping is not a permutation of the basis indices")
+
+    def adjoint(self) -> "PermutationOp":
+        inv = np.empty_like(self.mapping)
+        inv[self.mapping] = np.arange(self.mapping.shape[0])
+        return PermutationOp(self.n_qubits, inv)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense 2**n x 2**n matrix, built on every read."""
+        dim = 1 << self.n_qubits
+        m = np.zeros((dim, dim), dtype=complex)
+        m[self.mapping, np.arange(dim)] = 1.0
+        return m
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +225,28 @@ class UnitaryOp:
 # ---------------------------------------------------------------------------
 
 
-def _embed_on_statevector(amps: np.ndarray, n: int, u: np.ndarray, targets: list[int]) -> np.ndarray:
-    k = len(targets)
-    psi = amps.reshape([2] * n)
-    ut = u.reshape([2] * k + [2] * k)
-    psi = np.tensordot(ut, psi, axes=(list(range(k, 2 * k)), targets))
-    return np.moveaxis(psi, list(range(k)), targets).reshape(-1)
+def _state_array(state, action: str) -> tuple[np.ndarray, int]:
+    """The array of a state and the number of qubit-index halves it has:
+    1 for the amplitudes of a StateVector, 2 for a density matrix."""
+    if isinstance(state, StateVector):
+        return state.amps, 1
+    if isinstance(state, DensityMatrix):
+        return state.mat, 2
+    raise TypeError(f"cannot {action} {type(state).__name__}")
 
 
-def _resolve_gate(gate) -> np.ndarray:
+def _same_kind(state, data: np.ndarray, check: bool):
+    """A state of the kind and width of state, holding data in any shape."""
+    n = state.n_qubits
+    if isinstance(state, StateVector):
+        return StateVector(n, data)
+    return DensityMatrix(n, data.reshape(1 << n, 1 << n), check=check)
+
+
+def _resolve_gate(gate):
+    """A PermutationOp as it is, any other gate as its matrix."""
+    if isinstance(gate, PermutationOp):
+        return gate
     if isinstance(gate, str):
         if gate not in GATES:
             raise ValueError(f"unknown gate {gate!r}")
@@ -235,35 +267,41 @@ def _check_targets(targets: list[int], k_needed: int, n: int) -> None:
 
 
 def apply_gate(state, gate, targets: list[int]):
-    """Apply a named gate, raw matrix, or UnitaryOp to the target qubits.
+    """Apply a named gate, raw matrix, UnitaryOp or PermutationOp to the
+    target qubits.
 
-    Works on StateVector and DensityMatrix alike and preserves
-    norm/trace by unitarity.
+    Works on StateVector and DensityMatrix alike: U acts on the row
+    axes and conj(U) on the column axes; a PermutationOp is a gather
+    through its inverse map on the same axes.  Preserves norm/trace by
+    unitarity.
     """
-    u = _resolve_gate(gate)
-    k = int(np.log2(u.shape[0]))
-    if isinstance(state, StateVector):
-        _check_targets(targets, k, state.n_qubits)
-        out = _embed_on_statevector(state.amps, state.n_qubits, u, targets)
-        return StateVector(state.n_qubits, out)
-    if isinstance(state, DensityMatrix):
-        _check_targets(targets, k, state.n_qubits)
-        n = state.n_qubits
-        rho = state.mat.reshape([2] * (2 * n))
-        ut = u.reshape([2] * k + [2] * k)
-        # row side
-        rho = np.tensordot(ut, rho, axes=(list(range(k, 2 * k)), targets))
-        rho = np.moveaxis(rho, list(range(k)), targets)
-        # column side with the conjugate
-        col_targets = [n + t for t in targets]
-        rho = np.tensordot(ut.conj(), rho, axes=(list(range(k, 2 * k)), col_targets))
-        rho = np.moveaxis(rho, list(range(k)), col_targets)
-        dim = 1 << n
-        return DensityMatrix(n, rho.reshape(dim, dim), check=DEBUG_CHECKS)
-    raise TypeError(f"cannot apply gates to {type(state).__name__}")
+    data, halves = _state_array(state, "apply gates to")
+    op = _resolve_gate(gate)
+    is_perm = isinstance(op, PermutationOp)
+    k = op.n_qubits if is_perm else int(np.log2(op.shape[0]))
+    n = state.n_qubits
+    _check_targets(targets, k, n)
+    if is_perm:
+        inv = op.adjoint().mapping
+    else:
+        ut = op.reshape([2] * (2 * k))
+    front = list(range(k))
+    # the tensor shape is kept between the halves: a flatten there costs
+    # a copy of the whole matrix
+    psi = data.reshape([2] * (halves * n))
+    for half in range(halves):
+        axes = [half * n + t for t in targets]
+        if is_perm:
+            moved = np.moveaxis(psi, axes, front)
+            psi = moved.reshape(1 << k, -1).take(inv, axis=0).reshape(moved.shape)
+        else:
+            u = ut if half == 0 else ut.conj()
+            psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), axes))
+        psi = np.moveaxis(psi, front, axes)
+    return _same_kind(state, psi, DEBUG_CHECKS)
 
 
-def apply_unitary(state, op: UnitaryOp, targets: list[int] | None = None):
+def apply_unitary(state, op: UnitaryOp | PermutationOp, targets: list[int] | None = None):
     targets = list(range(op.n_qubits)) if targets is None else targets
     return apply_gate(state, op, targets)
 
@@ -273,14 +311,7 @@ def apply_unitary(state, op: UnitaryOp, targets: list[int] | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _permutation_unitary(mapping: np.ndarray, n_qubits: int) -> UnitaryOp:
-    dim = 1 << n_qubits
-    m = np.zeros((dim, dim), dtype=complex)
-    m[mapping, np.arange(dim)] = 1.0
-    return UnitaryOp(n_qubits, m, mapping=mapping.astype(np.int64), check=False)
-
-
-def type1_oracle(f, in_bits: int, out_bits: int) -> UnitaryOp:
+def type1_oracle(f, in_bits: int, out_bits: int) -> PermutationOp:
     """Canonical reversible embedding |x, y> -> |x, y xor f(x)>.
 
     Unitary even for non-injective f; the table must cover the full
@@ -292,20 +323,17 @@ def type1_oracle(f, in_bits: int, out_bits: int) -> UnitaryOp:
     if table.min() < 0 or table.max() >= (1 << out_bits):
         raise ValueError("table values do not fit the output width")
     _check_density_cap(in_bits + out_bits)
-    cols = np.arange(1 << (in_bits + out_bits), dtype=np.int64)
-    x = cols >> out_bits
-    y = cols & ((1 << out_bits) - 1)
-    rows = (x << out_bits) | (y ^ table[x])
-    mapping = np.empty_like(cols)
-    mapping[cols] = rows
-    return _permutation_unitary(mapping, in_bits + out_bits)
+    z = np.arange(1 << (in_bits + out_bits), dtype=np.int64)
+    x = z >> out_bits
+    y = z & ((1 << out_bits) - 1)
+    return PermutationOp(in_bits + out_bits, (x << out_bits) | (y ^ table[x]))
 
 
-def type2_oracle(perm: Permutation) -> UnitaryOp:
+def type2_oracle(perm: Permutation) -> PermutationOp:
     """In-place encryption unitary |x> -> |perm(x)>; the adjoint is the
     decryption operator of the inverse permutation."""
     _check_density_cap(perm.domain_bits)
-    return _permutation_unitary(perm.forward.copy(), perm.domain_bits)
+    return PermutationOp(perm.domain_bits, perm.forward.copy())
 
 
 def _compose_maps(*steps: np.ndarray) -> np.ndarray:
@@ -315,14 +343,14 @@ def _compose_maps(*steps: np.ndarray) -> np.ndarray:
     return total
 
 
-def type1_from_type2(enc2: UnitaryOp, dec2: UnitaryOp) -> UnitaryOp:
+def type1_from_type2(enc2: PermutationOp, dec2: PermutationOp) -> PermutationOp:
     """Build the xor-style oracle from in-place gate access.
 
     Circuit on registers (A, B) of d qubits each: apply enc2 on A, copy
     A into B with transversal CNOTs, then dec2 on A.  Equality with
     type1_oracle on the full space is exact.
     """
-    if enc2.mapping is None or dec2.mapping is None:
+    if not isinstance(enc2, PermutationOp) or not isinstance(dec2, PermutationOp):
         raise ValueError("conversion needs permutation-style operators")
     d = enc2.n_qubits
     if dec2.n_qubits != d:
@@ -336,22 +364,22 @@ def type1_from_type2(enc2: UnitaryOp, dec2: UnitaryOp) -> UnitaryOp:
     step_enc = (enc2.mapping[a] << d) | b
     step_copy = (a << d) | (b ^ a)
     step_dec = (dec2.mapping[a] << d) | b
-    return _permutation_unitary(_compose_maps(step_enc, step_copy, step_dec), 2 * d)
+    return PermutationOp(2 * d, _compose_maps(step_enc, step_copy, step_dec))
 
 
-def type2_from_type1(enc1: UnitaryOp, dec1: UnitaryOp) -> UnitaryOp:
+def type2_from_type1(enc1: PermutationOp, dec1: PermutationOp) -> PermutationOp:
     """Build the in-place operator from xor-style enc/dec oracles.
 
     Circuit on registers (A, B): enc1 with input A and output B, dec1
     with input B and output A (uncomputing A), then SWAP.  On the
     honest slice B = |0> this sends |x, 0> to |Enc(x), 0>.
     """
-    if enc1.mapping is None or dec1.mapping is None:
-        raise ValueError("conversion needs permutation-style operators")
     if enc1.n_qubits != dec1.n_qubits or enc1.n_qubits % 2:
         raise ValueError("operators must act on matching (x, y) registers")
     two_d = enc1.n_qubits
     _check_density_cap(two_d)
+    if not isinstance(enc1, PermutationOp) or not isinstance(dec1, PermutationOp):
+        raise ValueError("conversion needs permutation-style operators")
     d = two_d // 2
     size = 1 << two_d
     z = np.arange(size, dtype=np.int64)
@@ -363,7 +391,7 @@ def type2_from_type1(enc1: UnitaryOp, dec1: UnitaryOp) -> UnitaryOp:
     step_enc = (a << d) | (b ^ f[a])
     step_dec = ((a ^ g[b]) << d) | b
     step_swap = (b << d) | a
-    return _permutation_unitary(_compose_maps(step_enc, step_dec, step_swap), two_d)
+    return PermutationOp(two_d, _compose_maps(step_enc, step_dec, step_swap))
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +480,10 @@ def qotp_apply(key: BitString, state, targets: list[int] | None = None):
         pair = (v >> (2 * (k - 1 - j))) & 3
         flip |= (pair >> 1) << (n - 1 - t)
         sign |= (pair & 1) << (n - 1 - t)
-    if isinstance(state, StateVector):
-        src = _cached(_flip_index, n, flip, 1)
-        out = _cached(_sign_phase, n, sign, 1) * state.amps.take(src)
-        return StateVector(n, out)
-    if isinstance(state, DensityMatrix):
-        # take reads the matrix flattened in row-major order
-        gathered = state.mat.take(_cached(_flip_index, n, flip, 2))
-        out = _cached(_sign_phase, n, sign, 2) * gathered
-        return DensityMatrix(n, out, check=DEBUG_CHECKS)
-    raise TypeError(f"cannot mask {type(state).__name__}")
+    data, halves = _state_array(state, "mask")
+    # take reads a density matrix flattened in row-major order
+    out = _cached(_sign_phase, n, sign, halves) * data.take(_cached(_flip_index, n, flip, halves))
+    return _same_kind(state, out, DEBUG_CHECKS)
 
 
 def qotp_average(state: DensityMatrix) -> DensityMatrix:
@@ -512,40 +534,21 @@ def measure_computational(state, targets: list[int], rand: Rand, force: int | No
     Returns (outcome BitString in target order, collapsed state of the
     same kind).  Forcing a zero-probability branch is an error.
     """
-    if isinstance(state, StateVector):
-        n = state.n_qubits
-        _check_targets(targets, len(targets), n)
-        psi = state.amps.reshape([2] * n)
-        other = tuple(q for q in range(n) if q not in targets)
-        probs = np.abs(psi) ** 2
-        if other:
-            probs = probs.sum(axis=other)
-        # remaining axes follow sorted(targets); reorder to the targets list
-        probs = np.transpose(probs, np.argsort(np.argsort(targets))).reshape(-1)
-        outcome = _pick_outcome(probs, rand, force)
-        sel = [slice(None)] * n
-        bits = [(outcome >> (len(targets) - 1 - i)) & 1 for i in range(len(targets))]
-        for t, b in zip(targets, bits):
-            sel[t] = b
-        collapsed = np.zeros_like(psi)
-        collapsed[tuple(sel)] = psi[tuple(sel)]
-        collapsed = collapsed.reshape(-1)
-        collapsed /= np.linalg.norm(collapsed)
-        return BitString(outcome, len(targets)), StateVector(n, collapsed)
-    if isinstance(state, DensityMatrix):
-        n = state.n_qubits
-        _check_targets(targets, len(targets), n)
-        other, order, outcome_of = _cached(_measure_tables, n, tuple(targets))
-        # outcome probabilities live on the diagonal; the projector is a
-        # basis mask, so collapse is elementwise
-        diag = np.real(np.diag(state.mat)).reshape([2] * n)
-        probs = diag.sum(axis=other) if other else diag
-        probs = np.transpose(probs, order).reshape(-1)
-        outcome = _pick_outcome(probs, rand, force)
-        sel = outcome_of == outcome
-        post = np.where(sel[:, None] & sel[None, :], state.mat, 0.0) / probs[outcome]
-        return BitString(outcome, len(targets)), DensityMatrix(n, post, check=False)
-    raise TypeError(f"cannot measure {type(state).__name__}")
+    data, halves = _state_array(state, "measure")
+    n = state.n_qubits
+    _check_targets(targets, len(targets), n)
+    other, order, outcome_of = _cached(_measure_tables, n, tuple(targets))
+    # outcome probabilities: squared amplitudes, or the diagonal
+    weights = np.abs(data) ** 2 if halves == 1 else np.real(np.diag(data))
+    probs = weights.reshape([2] * n)
+    probs = probs.sum(axis=other) if other else probs
+    probs = np.transpose(probs, order).reshape(-1)
+    outcome = _pick_outcome(probs, rand, force)
+    # the projector is a basis mask on each half, so collapse is elementwise
+    sel = outcome_of == outcome
+    post = np.where(sel if halves == 1 else sel[:, None] & sel[None, :], data, 0.0)
+    post /= np.linalg.norm(post) if halves == 1 else probs[outcome]
+    return BitString(outcome, len(targets)), _same_kind(state, post, False)
 
 
 def _measure_tables(n: int, targets: tuple) -> tuple:
@@ -663,36 +666,24 @@ def avg_perm_channel_sampled(
     m = rho.n_qubits if msg_qubits is None else msg_qubits
     env = rho.n_qubits - m
     c = m + r_bits
-    _check_density_cap(rho.n_qubits + r_bits)
-    attached = DensityMatrix(
-        rho.n_qubits + r_bits, _attach_ancilla(rho.mat, env, m, r_bits), check=False
-    )
-    dim = 1 << attached.n_qubits
-    acc = np.zeros((dim, dim), dtype=complex)
+    attached = _attach_ancilla(rho, env, r_bits)
+    acc = np.zeros_like(attached.mat)
     gen = rand.numpy()
-    env_index = np.arange(1 << env, dtype=np.int64) << c
+    targets = list(range(env, env + c))
     for _ in range(samples):
-        perm = gen.permutation(1 << c).astype(np.int64)
-        full = (env_index[:, None] | perm[None, :]).reshape(-1)
-        out = np.zeros_like(attached.mat)
-        out[np.ix_(full, full)] = attached.mat
-        acc += out
+        acc += apply_gate(attached, PermutationOp(c, gen.permutation(1 << c)), targets).mat
     return DensityMatrix(attached.n_qubits, acc / samples, check=False)
 
 
-def _attach_ancilla(mat: np.ndarray, env: int, m: int, r_bits: int) -> np.ndarray:
-    anc = np.zeros((1 << r_bits, 1 << r_bits), dtype=complex)
+def _attach_ancilla(rho: DensityMatrix, env: int, r_bits: int) -> DensityMatrix:
+    """rho with |0^r><0^r| inserted behind its message register: qubits
+    (env, m) become (env, m, r)."""
+    _check_density_cap(rho.n_qubits + r_bits)
+    de, dm, dr = 1 << env, 1 << (rho.n_qubits - env), 1 << r_bits
+    anc = np.zeros((dr, dr), dtype=complex)
     anc[0, 0] = 1.0
-    return np.kron(mat, anc) if env == 0 else _attach_inner(mat, env, m, anc)
-
-
-def _attach_inner(mat: np.ndarray, env: int, m: int, anc: np.ndarray) -> np.ndarray:
-    # insert the ancilla behind the message register: (env, m) -> (env, m, r)
-    de, dm, dr = 1 << env, 1 << m, anc.shape[0]
-    blocks = mat.reshape(de, dm, de, dm)
-    out = np.einsum("aibj,kl->aikbjl", blocks, anc)
-    dim = de * dm * dr
-    return out.reshape(dim, dim)
+    out = np.einsum("aibj,kl->aikbjl", rho.mat.reshape(de, dm, de, dm), anc)
+    return DensityMatrix(rho.n_qubits + r_bits, out.reshape(de * dm * dr, -1), check=False)
 
 
 def exact_perm_average(rho: DensityMatrix, r_bits: int) -> DensityMatrix:
@@ -703,15 +694,10 @@ def exact_perm_average(rho: DensityMatrix, r_bits: int) -> DensityMatrix:
     n_c = 1 << c
     if n_c > 8:
         raise ValueError("exhaustive enumeration is limited to 3 total qubits")
-    anc = np.zeros((1 << r_bits, 1 << r_bits), dtype=complex)
-    anc[0, 0] = 1.0
-    attached = np.kron(rho.mat, anc)
-    acc = np.zeros((n_c, n_c), dtype=complex)
+    attached = _attach_ancilla(rho, 0, r_bits)
+    acc = np.zeros_like(attached.mat)
     count = 0
     for perm in permutations(range(n_c)):
-        p = np.asarray(perm, dtype=np.int64)
-        out = np.zeros_like(attached)
-        out[np.ix_(p, p)] = attached
-        acc += out
+        acc += apply_gate(attached, PermutationOp(c, perm), list(range(c))).mat
         count += 1
     return DensityMatrix(c, acc / count, check=False)

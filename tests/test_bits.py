@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsgames.bits import BitString, parity
+from qsgames.bits import BitString, _unchecked, parity
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -104,3 +104,24 @@ def test_constructor_rejects_bad_width_and_range(bad_width, width, excess):
         BitString((1 << width) - 1 + excess, width)
     with pytest.raises(ValueError):
         BitString.from_hex(format((1 << width) - 1 + excess, "x"), width)
+
+
+@bounded
+@given(st.data(), bitstrings(), bitstrings())
+def test_xor_inverts_and_split_agrees_with_take_drop(data, a, other):
+    w = a.width
+    b = data.draw(bitstrings(w))
+    assert (a ^ b) ^ b == a
+    same(a ^ a, BitString.zeros(w))
+    if other.width != w:
+        with pytest.raises(ValueError, match="xor width mismatch"):
+            a ^ other
+    joined = a.concat(other)
+    assert joined.split(w) == (joined.take(w), joined.drop(w)) == (a, other)
+    if w > 1:
+        n = data.draw(st.integers(1, w - 1))
+        left, right = a.split(n)
+        assert (left, right) == (a.take(n), a.drop(n))
+        same(left.concat(right), a)
+    same(BitString.from_hex(a.to_hex(), w), a)
+    same(_unchecked(a.value, w), a)

@@ -29,9 +29,11 @@ from qsgames.prf import Permutation
 from qsgames.qoram import QuantumDataRequest, qoram_access, qoram_init
 from qsgames.quantum import (
     DensityMatrix,
+    PermutationOp,
     StateVector,
     _compose_maps,
     _pick_outcome,
+    apply_gate,
     maximally_mixed,
     measure_computational,
     qotp_apply,
@@ -186,9 +188,10 @@ def test_quantum_stored_views_match_rebuild(n_db, n_bkt, seed, data):
         check_stored_views(server, quantum_views, before, tr.leaf, tr.down_digests, tr.up_digests)
 
 
-# The Pauli mask and the density-matrix measurement read cached index
-# tables.  The references below are the kernels as they were before the
-# tables: np.ix_ gathers and an np.outer projector mask.
+# The Pauli mask and the measurement read cached index tables.  The
+# references below are the kernels as they were before the tables:
+# np.ix_ gathers, an np.outer projector mask and, for a statevector,
+# index slices.
 
 
 def reference_qotp(key: BitString, state, targets=None) -> np.ndarray:
@@ -209,8 +212,25 @@ def reference_qotp(key: BitString, state, targets=None) -> np.ndarray:
     return (phase[:, None] * phase[None, :]) * src
 
 
-def reference_measure(state: DensityMatrix, targets: list, rand: Rand, force=None):
+def reference_measure(state, targets: list, rand: Rand, force=None):
     n = state.n_qubits
+    if isinstance(state, StateVector):
+        psi = state.amps.reshape([2] * n)
+        other = tuple(q for q in range(n) if q not in targets)
+        probs = np.abs(psi) ** 2
+        if other:
+            probs = probs.sum(axis=other)
+        probs = np.transpose(probs, np.argsort(np.argsort(targets))).reshape(-1)
+        outcome = _pick_outcome(probs, rand, force)
+        sel = [slice(None)] * n
+        bits = [(outcome >> (len(targets) - 1 - i)) & 1 for i in range(len(targets))]
+        for t, b in zip(targets, bits):
+            sel[t] = b
+        collapsed = np.zeros_like(psi)
+        collapsed[tuple(sel)] = psi[tuple(sel)]
+        collapsed = collapsed.reshape(-1)
+        collapsed /= np.linalg.norm(collapsed)
+        return outcome, collapsed
     diag = np.real(np.diag(state.mat)).reshape([2] * n)
     other = tuple(q for q in range(n) if q not in targets)
     probs = diag.sum(axis=other) if other else diag
@@ -266,7 +286,7 @@ def test_qotp_apply_matches_reference(kind, n, seed, all_qubits, data):
 
 
 @kernel_cases
-@given(st.sampled_from(["pure", "mixed"]), st.integers(1, 6), st.integers(0, 2**16),
+@given(st.sampled_from(["vector", "pure", "mixed"]), st.integers(1, 6), st.integers(0, 2**16),
        st.booleans(), st.data())
 def test_measure_computational_matches_reference(kind, n, seed, forced, data):
     state = random_state(kind, n, seed)
@@ -281,9 +301,47 @@ def test_measure_computational_matches_reference(kind, n, seed, forced, data):
         return
     outcome, post = measure_computational(state, targets, mine, force)
     assert outcome == BitString(want[0], len(targets))
-    assert post.mat.tobytes() == want[1].tobytes()
+    assert type(post) is type(state)
+    assert (post.amps if kind == "vector" else post.mat).tobytes() == want[1].tobytes()
     # both drew the same randomness, and no more
     assert mine.numpy().bit_generator.state == ref.numpy().bit_generator.state
+
+
+def reference_dense_apply(state, matrix: np.ndarray, targets: list) -> np.ndarray:
+    """The kernel as it was before index maps: a tensordot of the dense
+    matrix on the row axes and of its conjugate on the column axes."""
+    n, k = state.n_qubits, len(targets)
+    ut = matrix.reshape([2] * (2 * k))
+    if isinstance(state, StateVector):
+        psi = np.tensordot(ut, state.amps.reshape([2] * n), axes=(list(range(k, 2 * k)), targets))
+        return np.moveaxis(psi, list(range(k)), targets).reshape(-1)
+    rho = state.mat.reshape([2] * (2 * n))
+    for u, axes in ((ut, targets), (ut.conj(), [n + t for t in targets])):
+        rho = np.tensordot(u, rho, axes=(list(range(k, 2 * k)), axes))
+        rho = np.moveaxis(rho, list(range(k)), axes)
+    return rho.reshape(1 << n, 1 << n)
+
+
+@kernel_cases
+@given(st.sampled_from(["vector", "pure", "mixed"]), st.integers(1, 6), st.integers(0, 2**16),
+       st.data())
+def test_permutation_op_matches_dense_reference(kind, n, seed, data):
+    state = random_state(kind, n, seed)
+    targets = data.draw(target_lists(n))
+    k = len(targets)
+    mapping = data.draw(st.permutations(range(1 << k)))
+    dense = np.zeros((1 << k, 1 << k), dtype=complex)
+    for z, image in enumerate(mapping):
+        dense[image, z] = 1.0
+    op = PermutationOp(k, mapping)
+    assert np.array_equal(op.matrix, dense)
+
+    def array(s):
+        return s.amps if kind == "vector" else s.mat
+
+    out = apply_gate(state, op, targets)
+    assert np.array_equal(array(out), reference_dense_apply(state, dense, targets))
+    assert np.array_equal(array(apply_gate(out, op.adjoint(), targets)), array(state))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)

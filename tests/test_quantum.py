@@ -10,6 +10,7 @@ from qsgames.quantum import (
     GATES,
     CircuitDescription,
     DensityMatrix,
+    PermutationOp,
     StateVector,
     UnitaryOp,
     _pick_outcome,
@@ -171,6 +172,28 @@ class TestOracles:
         assert type1_oracle(zeros, 5, 5).n_qubits == 10
         assert type2_oracle(Permutation.identity(10)).n_qubits == 10
         assert type1_from_type2(type2_oracle(perm5), type2_oracle(perm5)).n_qubits == 10
+
+    def test_oracle_is_an_index_map(self):
+        # the dense matrix of a 10-qubit oracle would take 16 MiB
+        table = np.arange(1 << 5) ^ 0b10110
+        state = StateVector.random(10, Rand(9))
+        tracemalloc.start()
+        try:
+            op = type1_oracle(table, 5, 5)
+            _, built = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = apply_unitary(state, op)
+            _, applied = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built < 1 << 20
+        assert applied < 1 << 20
+        assert np.array_equal(out.amps[op.mapping], state.amps)
+
+    def test_permutation_op_rejects_non_permutations(self):
+        for mapping in ([0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                PermutationOp(2, mapping)
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(ValueError):
