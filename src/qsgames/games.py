@@ -304,10 +304,6 @@ def game_qind(scheme, adversary, rand: Rand, challenge_form: str = "states",
     return int(guess == b)
 
 
-def game_qind_qcpa(scheme, adversary, rand, **kw):
-    return game_qind(scheme, adversary, rand, grant_cpa=True, **kw)
-
-
 # ---------------------------------------------------------------------------
 # access-pattern games
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ everything with fresh randomness, and greedily pushes blocks as deep
 as possible along the downloaded path (deepest common node first, then
 up toward the root, then the stash).
 
-The SKES and the position-map generator are pluggable; the generator
-choice is exactly what the separation experiments attack.
+The SKES is fixed (GoldreichScheme); the position-map generator is
+pluggable, and its choice is exactly what the separation experiments
+attack.
 
 tree_init and tree_access hold the protocol for both ORAMs; a block
 codec (SkesCodec here, qoram.QuantumCodec) supplies the block format.
@@ -63,12 +64,6 @@ class OramParams:
         self.n_tag = self.n_max.bit_length()
         self.n_tree = (self.n_db - 1).bit_length()
         self.n_msg = self.n_tag + self.n_dat
-
-
-def _default_skes(params: OramParams) -> GoldreichScheme:
-    # 32 randomness bits keep re-encryption collisions out of reach at
-    # the trial counts the freshness checks run with
-    return GoldreichScheme(params.n_msg, r_bits=32, key_bits=params.key_bits)
 
 
 class ServerDB:
@@ -281,9 +276,11 @@ def tree_access(client, server: ServerDB, codec, rid: int, step):
     return leaf, down, server.path_view(path)
 
 
-def oram_init(params: OramParams, rand: Rand, prng=None, skes=None):
+def oram_init(params: OramParams, rand: Rand, prng=None):
     """Set up a fresh client/server pair with an all-empty encrypted tree."""
-    skes = skes or _default_skes(params)
+    # 32 randomness bits keep re-encryption collisions out of reach at
+    # the trial counts the freshness checks run with
+    skes = GoldreichScheme(params.n_msg, r_bits=32, key_bits=params.key_bits)
     key = skes.key_gen(rand)
     prng = prng or CounterPrfPrng(rand.child())
     client = ClientState(params, key, {}, prng, rand.child(), skes)

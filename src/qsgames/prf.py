@@ -92,7 +92,12 @@ QPRP_DOMAIN_CAP = 14
 
 @dataclass
 class Permutation:
-    """Tabulated bijection on {0,...,2**domain_bits - 1}."""
+    """Tabulated bijection on {0,...,2**domain_bits - 1}.
+
+    It is also the basis permutation |z> -> |forward[z]> on domain_bits
+    qubits, so it serves as a gate: the classical-function oracles are
+    Permutations, and quantum.apply_gate gathers through the inverse.
+    """
 
     domain_bits: int
     forward: np.ndarray
@@ -100,20 +105,34 @@ class Permutation:
 
     def __post_init__(self):
         n = 1 << self.domain_bits
-        self.forward = np.asarray(self.forward, dtype=np.int64)
-        if self.forward.shape != (n,):
-            raise ValueError("forward table has wrong size")
-        if self.inverse is None:
-            inv = np.empty(n, dtype=np.int64)
-            inv[self.forward] = np.arange(n, dtype=np.int64)
-            self.inverse = inv
+        index = np.arange(n, dtype=np.int64)
+        scatter = self.inverse is None
+        fwd = self.forward = np.asarray(self.forward, dtype=np.int64)
+        inv = self.inverse = np.zeros(n, dtype=np.int64) if scatter else np.asarray(self.inverse, dtype=np.int64)
+        # viewed unsigned, a negative entry is out of range too
+        ok = fwd.shape == inv.shape == (n,) and fwd.view(np.uint64).max() < n
+        if ok and scatter:
+            inv[fwd] = index
         else:
-            self.inverse = np.asarray(self.inverse, dtype=np.int64)
-        counts = np.bincount(self.forward, minlength=n)
-        if not (counts == 1).all():
-            raise ValueError("table is not a bijection")
-        if not (self.forward[self.inverse] == np.arange(n)).all():
-            raise ValueError("inverse table does not invert forward")
+            ok = ok and inv.view(np.uint64).max() < n
+        # forward[inverse] = id makes forward onto, so a bijection with
+        # inverse as its inverse; a repeat in forward leaves some index
+        # of the scattered inverse at 0, which fails it
+        if not (ok and (fwd[inv] == index).all()):
+            raise ValueError(f"table is not a permutation of range(2**{self.domain_bits}), "
+                             f"or the inverse does not invert it")
+
+    @property
+    def n_qubits(self) -> int:
+        return self.domain_bits
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense 2**n x 2**n matrix, built on every read."""
+        dim = 1 << self.domain_bits
+        m = np.zeros((dim, dim), dtype=complex)
+        m[self.forward, np.arange(dim)] = 1.0
+        return m
 
     def apply(self, x: int) -> int:
         return int(self.forward[x])
@@ -122,28 +141,25 @@ class Permutation:
         return int(self.inverse[y])
 
     def inverted(self) -> "Permutation":
-        return Permutation(self.domain_bits, self.inverse.copy(), self.forward.copy())
+        return Permutation(self.domain_bits, self.inverse, self.forward)
 
     @classmethod
     def identity(cls, domain_bits: int) -> "Permutation":
-        n = 1 << domain_bits
-        return cls(domain_bits, np.arange(n, dtype=np.int64))
+        return cls(domain_bits, np.arange(1 << domain_bits, dtype=np.int64))
 
     @classmethod
     def xor_mask(cls, mask: int, domain_bits: int) -> "Permutation":
-        n = 1 << domain_bits
-        return cls(domain_bits, np.arange(n, dtype=np.int64) ^ mask)
+        return cls(domain_bits, np.arange(1 << domain_bits, dtype=np.int64) ^ mask)
 
     @classmethod
     def from_fn(cls, fn, domain_bits: int) -> "Permutation":
-        n = 1 << domain_bits
-        return cls(domain_bits, np.array([fn(x) for x in range(n)], dtype=np.int64))
+        return cls(domain_bits, np.array([fn(x) for x in range(1 << domain_bits)], dtype=np.int64))
 
 
-def sample_ideal_qprp(key: BitString, domain_bits: int, cap: int = QPRP_DOMAIN_CAP) -> Permutation:
+def sample_ideal_qprp(key: BitString, domain_bits: int) -> Permutation:
     """Uniformly random tabulated permutation, deterministic in the key."""
-    if domain_bits > cap:
-        raise ValueError(f"domain_bits {domain_bits} exceeds cap {cap}")
+    if domain_bits > QPRP_DOMAIN_CAP:
+        raise ValueError(f"domain_bits {domain_bits} exceeds cap {QPRP_DOMAIN_CAP}")
     seed_material = _hash_bits(_keyed_hash(key), b"qprp", 256)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_material.value)))
     fwd = gen.permutation(1 << domain_bits).astype(np.int64)

@@ -129,7 +129,7 @@ class Type2LiftScheme:
         return QCiphertext(apply_unitary(state, self._unitary(key, r)), r=r)
 
     def dec(self, key, qc: QCiphertext) -> DensityMatrix:
-        full = apply_unitary(qc.payload, self._unitary(key, qc.r).adjoint())
+        full = apply_unitary(qc.payload, self._unitary(key, qc.r).inverted())
         if not self.ancilla_qubits:
             return full
         return partial_trace(full, list(range(self.n_qubits)))
@@ -146,10 +146,6 @@ class Type2LiftScheme:
             anc_targets = list(range(joint.n_qubits, joint.n_qubits + self.ancilla_qubits))
         out = apply_unitary(state, self._unitary(key, r), list(targets) + anc_targets)
         return out, list(targets) + anc_targets, r
-
-
-def skqes_type2_lift(inner) -> Type2LiftScheme:
-    return Type2LiftScheme(inner)
 
 
 class PkqesScheme:

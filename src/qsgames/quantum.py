@@ -6,8 +6,8 @@ before the dense 2**n x 2**n matrix is allocated), the gate set needed
 by the games (Hadamard, Paulis, CNOT, SWAP, classical oracles), the
 Pauli masking scheme, partial trace, trace distance, and the
 averaged-permutation channel with its closed form.  Oracles are basis
-permutations and are kept as index maps; their dense matrix is built
-only when read.
+permutations, kept as prf.Permutation index maps; their dense matrix is
+built only when read.
 
 Conventions: qubit 0 is the most significant bit of the basis index,
 so |x, y> lives at index x * 2**|y| + y.  Every kernel views a state
@@ -194,32 +194,6 @@ class UnitaryOp:
                 raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
 
 
-@dataclass
-class PermutationOp:
-    """The basis permutation |z> -> |mapping[z]>, kept as its index map."""
-
-    n_qubits: int
-    mapping: np.ndarray
-
-    def __post_init__(self):
-        self.mapping = np.asarray(self.mapping, dtype=np.int64)
-        if not np.array_equal(np.sort(self.mapping), np.arange(1 << self.n_qubits)):
-            raise ValueError("mapping is not a permutation of the basis indices")
-
-    def adjoint(self) -> "PermutationOp":
-        inv = np.empty_like(self.mapping)
-        inv[self.mapping] = np.arange(self.mapping.shape[0])
-        return PermutationOp(self.n_qubits, inv)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense 2**n x 2**n matrix, built on every read."""
-        dim = 1 << self.n_qubits
-        m = np.zeros((dim, dim), dtype=complex)
-        m[self.mapping, np.arange(dim)] = 1.0
-        return m
-
-
 # ---------------------------------------------------------------------------
 # gate application
 # ---------------------------------------------------------------------------
@@ -244,8 +218,8 @@ def _same_kind(state, data: np.ndarray, check: bool):
 
 
 def _resolve_gate(gate):
-    """A PermutationOp as it is, any other gate as its matrix."""
-    if isinstance(gate, PermutationOp):
+    """A Permutation as it is, any other gate as its matrix."""
+    if isinstance(gate, Permutation):
         return gate
     if isinstance(gate, str):
         if gate not in GATES:
@@ -267,23 +241,21 @@ def _check_targets(targets: list[int], k_needed: int, n: int) -> None:
 
 
 def apply_gate(state, gate, targets: list[int]):
-    """Apply a named gate, raw matrix, UnitaryOp or PermutationOp to the
+    """Apply a named gate, raw matrix, UnitaryOp or Permutation to the
     target qubits.
 
     Works on StateVector and DensityMatrix alike: U acts on the row
-    axes and conj(U) on the column axes; a PermutationOp is a gather
+    axes and conj(U) on the column axes; a Permutation is a gather
     through its inverse map on the same axes.  Preserves norm/trace by
     unitarity.
     """
     data, halves = _state_array(state, "apply gates to")
     op = _resolve_gate(gate)
-    is_perm = isinstance(op, PermutationOp)
-    k = op.n_qubits if is_perm else int(np.log2(op.shape[0]))
+    is_perm = isinstance(op, Permutation)
+    k = op.domain_bits if is_perm else int(np.log2(op.shape[0]))
     n = state.n_qubits
     _check_targets(targets, k, n)
-    if is_perm:
-        inv = op.adjoint().mapping
-    else:
+    if not is_perm:
         ut = op.reshape([2] * (2 * k))
     front = list(range(k))
     # the tensor shape is kept between the halves: a flatten there costs
@@ -293,7 +265,7 @@ def apply_gate(state, gate, targets: list[int]):
         axes = [half * n + t for t in targets]
         if is_perm:
             moved = np.moveaxis(psi, axes, front)
-            psi = moved.reshape(1 << k, -1).take(inv, axis=0).reshape(moved.shape)
+            psi = moved.reshape(1 << k, -1).take(op.inverse, axis=0).reshape(moved.shape)
         else:
             u = ut if half == 0 else ut.conj()
             psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), axes))
@@ -301,7 +273,7 @@ def apply_gate(state, gate, targets: list[int]):
     return _same_kind(state, psi, DEBUG_CHECKS)
 
 
-def apply_unitary(state, op: UnitaryOp | PermutationOp, targets: list[int] | None = None):
+def apply_unitary(state, op: UnitaryOp | Permutation, targets: list[int] | None = None):
     targets = list(range(op.n_qubits)) if targets is None else targets
     return apply_gate(state, op, targets)
 
@@ -311,7 +283,7 @@ def apply_unitary(state, op: UnitaryOp | PermutationOp, targets: list[int] | Non
 # ---------------------------------------------------------------------------
 
 
-def type1_oracle(f, in_bits: int, out_bits: int) -> PermutationOp:
+def type1_oracle(f, in_bits: int, out_bits: int) -> Permutation:
     """Canonical reversible embedding |x, y> -> |x, y xor f(x)>.
 
     Unitary even for non-injective f; the table must cover the full
@@ -326,14 +298,14 @@ def type1_oracle(f, in_bits: int, out_bits: int) -> PermutationOp:
     z = np.arange(1 << (in_bits + out_bits), dtype=np.int64)
     x = z >> out_bits
     y = z & ((1 << out_bits) - 1)
-    return PermutationOp(in_bits + out_bits, (x << out_bits) | (y ^ table[x]))
+    return Permutation(in_bits + out_bits, (x << out_bits) | (y ^ table[x]))
 
 
-def type2_oracle(perm: Permutation) -> PermutationOp:
-    """In-place encryption unitary |x> -> |perm(x)>; the adjoint is the
-    decryption operator of the inverse permutation."""
+def type2_oracle(perm: Permutation) -> Permutation:
+    """In-place encryption unitary |x> -> |perm(x)>: perm itself, within
+    the density-matrix cap; its adjoint is perm.inverted()."""
     _check_density_cap(perm.domain_bits)
-    return PermutationOp(perm.domain_bits, perm.forward.copy())
+    return perm
 
 
 def _compose_maps(*steps: np.ndarray) -> np.ndarray:
@@ -343,42 +315,42 @@ def _compose_maps(*steps: np.ndarray) -> np.ndarray:
     return total
 
 
-def type1_from_type2(enc2: PermutationOp, dec2: PermutationOp) -> PermutationOp:
+def type1_from_type2(enc2: Permutation, dec2: Permutation) -> Permutation:
     """Build the xor-style oracle from in-place gate access.
 
     Circuit on registers (A, B) of d qubits each: apply enc2 on A, copy
     A into B with transversal CNOTs, then dec2 on A.  Equality with
     type1_oracle on the full space is exact.
     """
-    if not isinstance(enc2, PermutationOp) or not isinstance(dec2, PermutationOp):
+    if not isinstance(enc2, Permutation) or not isinstance(dec2, Permutation):
         raise ValueError("conversion needs permutation-style operators")
-    d = enc2.n_qubits
-    if dec2.n_qubits != d:
+    d = enc2.domain_bits
+    if dec2.domain_bits != d:
         raise ValueError("width mismatch between encryption and decryption operators")
-    if not np.array_equal(dec2.mapping[enc2.mapping], np.arange(1 << d)):
+    if not np.array_equal(dec2.forward[enc2.forward], np.arange(1 << d)):
         raise ValueError("operators are not mutually inverse")
     _check_density_cap(2 * d)
     size = 1 << (2 * d)
     z = np.arange(size, dtype=np.int64)
     a, b = z >> d, z & ((1 << d) - 1)
-    step_enc = (enc2.mapping[a] << d) | b
+    step_enc = (enc2.forward[a] << d) | b
     step_copy = (a << d) | (b ^ a)
-    step_dec = (dec2.mapping[a] << d) | b
-    return PermutationOp(2 * d, _compose_maps(step_enc, step_copy, step_dec))
+    step_dec = (dec2.forward[a] << d) | b
+    return Permutation(2 * d, _compose_maps(step_enc, step_copy, step_dec))
 
 
-def type2_from_type1(enc1: PermutationOp, dec1: PermutationOp) -> PermutationOp:
+def type2_from_type1(enc1: Permutation, dec1: Permutation) -> Permutation:
     """Build the in-place operator from xor-style enc/dec oracles.
 
     Circuit on registers (A, B): enc1 with input A and output B, dec1
     with input B and output A (uncomputing A), then SWAP.  On the
     honest slice B = |0> this sends |x, 0> to |Enc(x), 0>.
     """
-    if enc1.n_qubits != dec1.n_qubits or enc1.n_qubits % 2:
+    if enc1.domain_bits != dec1.domain_bits or enc1.domain_bits % 2:
         raise ValueError("operators must act on matching (x, y) registers")
-    two_d = enc1.n_qubits
+    two_d = enc1.domain_bits
     _check_density_cap(two_d)
-    if not isinstance(enc1, PermutationOp) or not isinstance(dec1, PermutationOp):
+    if not isinstance(enc1, Permutation) or not isinstance(dec1, Permutation):
         raise ValueError("conversion needs permutation-style operators")
     d = two_d // 2
     size = 1 << two_d
@@ -386,12 +358,12 @@ def type2_from_type1(enc1: PermutationOp, dec1: PermutationOp) -> PermutationOp:
     a, b = z >> d, z & ((1 << d) - 1)
     # f and g tables recovered from the oracles' action on y = 0
     xs = np.arange(1 << d, dtype=np.int64)
-    f = enc1.mapping[xs << d] & ((1 << d) - 1)
-    g = dec1.mapping[xs << d] & ((1 << d) - 1)
+    f = enc1.forward[xs << d] & ((1 << d) - 1)
+    g = dec1.forward[xs << d] & ((1 << d) - 1)
     step_enc = (a << d) | (b ^ f[a])
     step_dec = ((a ^ g[b]) << d) | b
     step_swap = (b << d) | a
-    return PermutationOp(two_d, _compose_maps(step_enc, step_dec, step_swap))
+    return Permutation(two_d, _compose_maps(step_enc, step_dec, step_swap))
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +643,7 @@ def avg_perm_channel_sampled(
     gen = rand.numpy()
     targets = list(range(env, env + c))
     for _ in range(samples):
-        acc += apply_gate(attached, PermutationOp(c, gen.permutation(1 << c)), targets).mat
+        acc += apply_gate(attached, Permutation(c, gen.permutation(1 << c)), targets).mat
     return DensityMatrix(attached.n_qubits, acc / samples, check=False)
 
 
@@ -698,6 +670,6 @@ def exact_perm_average(rho: DensityMatrix, r_bits: int) -> DensityMatrix:
     acc = np.zeros_like(attached.mat)
     count = 0
     for perm in permutations(range(n_c)):
-        acc += apply_gate(attached, PermutationOp(c, perm), list(range(c))).mat
+        acc += apply_gate(attached, Permutation(c, perm), list(range(c))).mat
         count += 1
     return DensityMatrix(c, acc / count, check=False)

@@ -77,12 +77,6 @@ class Rand:
     def chance(self, p: float) -> bool:
         return bool(self._gen.random() < p)
 
-    def choice(self, seq):
-        return seq[int(self._gen.integers(0, len(seq)))]
-
-    def shuffle(self, arr: np.ndarray) -> None:
-        self._gen.shuffle(arr)
-
     def numpy(self) -> np.random.Generator:
         return self._gen
 
@@ -259,44 +253,50 @@ def _batch_modpow(g: int, exps: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
-_POW_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _pow_table(p: int, g: int) -> np.ndarray:
-    key = (p, g)
-    table = _POW_TABLE_CACHE.get(key)
-    if table is None:
-        table = _batch_modpow(g, np.arange(p, dtype=np.int64), p)
-        if len(_POW_TABLE_CACHE) > 8:
-            _POW_TABLE_CACHE.clear()
-        _POW_TABLE_CACHE[key] = table
-    return table
-
-
 # Largest seed-output table bm_recover_state builds, and the bound on
-# all cached tables together.  Above it the outputs are computed in
-# lockstep for one block of seeds of this size at a time.
+# the bytes of all cached tables together, power tables included.
+# Above it the outputs are computed in lockstep for one block of seeds
+# of this size at a time, and a power table over it is not kept.
 _TABLE_BUDGET_BYTES = 64 << 20
 
+_POW_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _OUTPUT_TABLE_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _lockstep_outputs(p: int, g: int, n_tag: int, n_tree: int, first: int, stop: int, horizon: int) -> np.ndarray:
+def _keep(cache: dict, key, table: np.ndarray) -> np.ndarray:
+    """Store table in cache if it fits the budget; storing one that does
+    not fit beside the tables already kept first clears both caches."""
+    if table.nbytes <= _TABLE_BUDGET_BYTES:
+        kept = sum(t.nbytes for c in (_POW_TABLE_CACHE, _OUTPUT_TABLE_CACHE) for t in c.values())
+        if kept + table.nbytes > _TABLE_BUDGET_BYTES:
+            _POW_TABLE_CACHE.clear()
+            _OUTPUT_TABLE_CACHE.clear()
+        cache[key] = table
+    return table
+
+
+def _pow_table(p: int, g: int) -> np.ndarray:
+    table = _POW_TABLE_CACHE.get((p, g))
+    if table is None:
+        table = _keep(_POW_TABLE_CACHE, (p, g), _batch_modpow(g, np.arange(p, dtype=np.int64), p))
+    return table
+
+
+def _lockstep_outputs(powers: np.ndarray, n_tag: int, n_tree: int, first: int, stop: int, horizon: int) -> np.ndarray:
     """Truncated outputs 0..horizon of the seeds first..stop-1.
 
     Row pos, column i holds output number pos of seed first + i, in the
     smallest unsigned dtype that holds an n_tree-bit value.  Every seed
-    advances in lockstep through the power table.
+    advances in lockstep through the power table powers[x] = g**x mod p.
     """
-    table = _pow_table(p, g)
-    half = (p - 1) // 2
+    half = (powers.size - 1) // 2
     tree_mask = (1 << n_tree) - 1
     states = np.arange(first, stop, dtype=np.int64)
     out = np.empty((horizon + 1, states.size), dtype=np.min_scalar_type(tree_mask))
     for pos in range(horizon + 1):
         vals = np.zeros(states.size, dtype=np.int64)
         for _ in range(n_tag):
-            states = table[states]
+            states = powers[states]
             vals = (vals << 1) | (states < half)
         out[pos] = vals & tree_mask
     return out
@@ -306,10 +306,8 @@ def _output_table(p: int, g: int, n_tag: int, n_tree: int, horizon: int) -> np.n
     key = (p, g, n_tag, n_tree, horizon)
     table = _OUTPUT_TABLE_CACHE.get(key)
     if table is None:
-        table = _lockstep_outputs(p, g, n_tag, n_tree, 1, p, horizon)
-        if sum(t.nbytes for t in _OUTPUT_TABLE_CACHE.values()) + table.nbytes > _TABLE_BUDGET_BYTES:
-            _OUTPUT_TABLE_CACHE.clear()
-        _OUTPUT_TABLE_CACHE[key] = table
+        outputs = _lockstep_outputs(_pow_table(p, g), n_tag, n_tree, 1, p, horizon)
+        table = _keep(_OUTPUT_TABLE_CACHE, key, outputs)
     return table
 
 
@@ -361,8 +359,9 @@ def bm_recover_state(
     if (p - 1) * seed_bytes <= _TABLE_BUDGET_BYTES:
         return _first_fit(_output_table(p, g, n_tag, n_tree, horizon), 1, obs, predict_pos)
     block = max(1, _TABLE_BUDGET_BYTES // seed_bytes)
+    powers = _pow_table(p, g)
     for first in range(1, p, block):
-        outputs = _lockstep_outputs(p, g, n_tag, n_tree, first, min(first + block, p), horizon)
+        outputs = _lockstep_outputs(powers, n_tag, n_tree, first, min(first + block, p), horizon)
         found = _first_fit(outputs, first, obs, predict_pos)
         if found[0] >= 0:
             return found

@@ -144,7 +144,7 @@ def test_criterion_4_oracle_conversions():
             perm, _ = scheme.enc_perm(key, r) if scheme.r_bits else scheme.enc_perm(key)
             d = perm.domain_bits
             enc2 = type2_oracle(perm)
-            built1 = type1_from_type2(enc2, enc2.adjoint())
+            built1 = type1_from_type2(enc2, enc2.inverted())
             direct1 = type1_oracle(perm.forward, d, d)
             worst = max(worst, np.abs(built1.matrix - direct1.matrix).max())
             built2 = type2_from_type1(direct1, type1_oracle(perm.inverse, d, d))

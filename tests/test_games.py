@@ -239,7 +239,7 @@ class TestQindGame:
                 assert oracle is not None
                 return attacks.hadamard_distinguisher(2).distinguish(state, env, classical, rand)
 
-        wins = sum(games.game_qind_qcpa(lift, UsesOracle(), r) for r in Rand(14).split(20))
+        wins = sum(games.game_qind(lift, UsesOracle(), r, grant_cpa=True) for r in Rand(14).split(20))
         assert wins == 20
 
     def test_mismatched_arm_dimensions_rejected(self):

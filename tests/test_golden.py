@@ -33,6 +33,8 @@ def test_debug_checks_leave_reports_unchanged(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(quantum.DensityMatrix, "validate", counting_validate)
+    # the plain run is plain even when QSGAMES_DEBUG is set
+    monkeypatch.setattr(quantum, "DEBUG_CHECKS", False)
     names = sorted(experiments.REGISTRY)
     plain = [golden_data.catalog_report(name, max_trials=4) for name in names]
     plain_validations = validations[0]

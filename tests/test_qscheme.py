@@ -3,7 +3,7 @@ import pytest
 
 from qsgames.bits import BitString
 from qsgames.prf import make_prf
-from qsgames.qscheme import PkqesScheme, QCiphertext, Skqes1Scheme, Type2LiftScheme, skqes_type2_lift
+from qsgames.qscheme import PkqesScheme, QCiphertext, Skqes1Scheme, Type2LiftScheme
 from qsgames.quantum import (
     DensityMatrix,
     StateVector,
@@ -110,14 +110,14 @@ class TestSkqes1:
 
 class TestType2Lift:
     def test_lifted_otp_on_basis_states(self):
-        lift = skqes_type2_lift(OtpScheme(3))
+        lift = Type2LiftScheme(OtpScheme(3))
         key = BitString(0b110, 3)
         qc = lift.enc(key, DensityMatrix.basis(3, 0b010))
         assert trace_distance(qc.payload, DensityMatrix.basis(3, 0b010 ^ 0b110)) < 1e-12
         assert trace_distance(lift.dec(key, qc), DensityMatrix.basis(3, 0b010)) < 1e-12
 
     def test_lifted_prp_identity_channel(self):
-        lift = skqes_type2_lift(PrpScheme(2, 2))
+        lift = Type2LiftScheme(PrpScheme(2, 2))
         r = Rand(9)
         key = lift.key_gen(r)
         for phi in random_state_battery(2, r, 6):
@@ -125,14 +125,14 @@ class TestType2Lift:
             assert trace_distance(back, phi) < 1e-10
 
     def test_lifted_goldreich_identity_channel(self):
-        lift = skqes_type2_lift(GoldreichScheme(3))
+        lift = Type2LiftScheme(GoldreichScheme(3))
         r = Rand(10)
         key = lift.key_gen(r)
         phi = DensityMatrix.random_mixed(3, r)
         assert trace_distance(lift.dec(key, lift.enc(key, phi, rand=r)), phi) < 1e-10
 
     def test_expanding_lift_has_ancilla(self):
-        lift = skqes_type2_lift(PrpScheme(2, 3))
+        lift = Type2LiftScheme(PrpScheme(2, 3))
         assert lift.ancilla_qubits == 3 and lift.ciphertext_qubits == 5
 
     def test_scheme_without_permutation_form_rejected(self):
@@ -196,8 +196,8 @@ def test_fifty_state_correctness_battery():
     checked = 0
     for scheme in (
         Skqes1Scheme(2),
-        skqes_type2_lift(GoldreichScheme(2)),
-        skqes_type2_lift(PrpScheme(1, 1)),
+        Type2LiftScheme(GoldreichScheme(2)),
+        Type2LiftScheme(PrpScheme(1, 1)),
     ):
         key = scheme.key_gen(r)
         for phi in random_state_battery(scheme.n_qubits, r, 17):

@@ -10,7 +10,6 @@ from qsgames.quantum import (
     GATES,
     CircuitDescription,
     DensityMatrix,
-    PermutationOp,
     StateVector,
     UnitaryOp,
     _pick_outcome,
@@ -152,7 +151,7 @@ class TestOracles:
         perm6, perm11 = Permutation.identity(6), Permutation.identity(11)
         # stands in for a 12-qubit permutation operator, whose matrix
         # alone would take 256 MiB
-        op12 = SimpleNamespace(n_qubits=12, mapping=np.arange(1 << 12))
+        op12 = SimpleNamespace(domain_bits=12, forward=np.arange(1 << 12))
         builders = (
             lambda: type1_oracle(zeros, 5, 6),
             lambda: type2_oracle(perm11),
@@ -188,12 +187,20 @@ class TestOracles:
             tracemalloc.stop()
         assert built < 1 << 20
         assert applied < 1 << 20
-        assert np.array_equal(out.amps[op.mapping], state.amps)
+        assert np.array_equal(out.amps[op.forward], state.amps)
 
     def test_permutation_op_rejects_non_permutations(self):
-        for mapping in ([0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4]):
-            with pytest.raises(ValueError, match="not a permutation"):
-                PermutationOp(2, mapping)
+        # a repeat, a wrong length, an entry out of range, a negative one;
+        # then a supplied inverse that does not invert forward, or is no table
+        bad = [(fwd, None) for fwd in ([0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2])]
+        bad += [([1, 2, 0, 3], inv) for inv in ([1, 2, 0, 3], [2, 0, 1], [2, 0, 1, 4], [2, 0, 1, -1])]
+        messages = set()
+        for forward, inverse in bad:
+            with pytest.raises(ValueError, match="not a permutation") as err:
+                Permutation(2, forward, inverse)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        assert Permutation(2, [1, 2, 0, 3], [2, 0, 1, 3]).inverse.tolist() == [2, 0, 1, 3]
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(ValueError):
@@ -205,7 +212,7 @@ class TestOracles:
 
     def test_type2_adjoint_is_inverse_oracle(self):
         perm = sample_ideal_qprp(BitString(3, 8), 4)
-        left = type2_oracle(perm).adjoint()
+        left = type2_oracle(perm).inverted()
         right = type2_oracle(perm.inverted())
         assert np.allclose(left.matrix, right.matrix)
 
@@ -225,7 +232,7 @@ class TestConversions:
     def _check_pair(self, perm: Permutation):
         d = perm.domain_bits
         enc2 = type2_oracle(perm)
-        dec2 = enc2.adjoint()
+        dec2 = enc2.inverted()
         direct1 = type1_oracle(perm.forward, d, d)
         built1 = type1_from_type2(enc2, dec2)
         assert np.array_equal(built1.matrix, direct1.matrix)

@@ -219,6 +219,26 @@ class TestRecovery:
         if mode == "true" or (mode == "last-wins" and len(expected) == len(positions)):
             assert got[0] > 0
 
+    def test_cached_tables_stay_within_budget(self, monkeypatch):
+        # power tables count against the budget beside the output tables:
+        # 12289's power table (96 KiB) is built for its query and not kept
+        budget = 16 << 10
+        monkeypatch.setattr(rng, "_TABLE_BUDGET_BYTES", budget)
+        monkeypatch.setattr(rng, "_POW_TABLE_CACHE", {})
+        monkeypatch.setattr(rng, "_OUTPUT_TABLE_CACHE", {})
+        groups = [(23, 5), (1019, 2), (12289, 11), (1019, 2), (12289, 11), (23, 5)]
+        for j, (p, g) in enumerate(groups):
+            for n_tag, n_tree in ((5, 3), (4, 9)):
+                seed = 1 + (j * 7919 + n_tree) % (p - 1)
+                truth = truncated_outputs(p, g, seed, n_tag, n_tree, 6)
+                positions = [1, 3, 4]
+                expected = [truth[pos] for pos in positions]
+                got = bm_recover_state(p, g, n_tag, n_tree, positions, expected, 5)
+                assert got == lockstep_recover(p, g, n_tag, n_tree, positions, expected, 5)
+                kept = [t.nbytes for cache in (rng._POW_TABLE_CACHE, rng._OUTPUT_TABLE_CACHE)
+                        for t in cache.values()]
+                assert sum(kept) <= budget
+
     @pytest.mark.parametrize("positions,expected,predict_pos", [
         ([], [], 4), ([], [1], 4), ([-1], [3], -2), ([-2, 3], [0, 5], 4), ([2], [1], -1),
     ])
