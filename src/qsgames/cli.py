@@ -143,8 +143,13 @@ def _summarize_file(path: Path):
 
 
 def report_suite(directory: str, out_path: str | None = None) -> int:
+    try:
+        paths = sorted(Path(directory).iterdir())
+    except OSError as err:
+        print(f"cannot read the report directory: {err}", file=sys.stderr)
+        return 2
     rows = []
-    for path in sorted(Path(directory).iterdir()):
+    for path in paths:
         if path.suffix not in (".json", ".csv"):
             continue
         row = _summarize_file(path)
@@ -160,14 +165,17 @@ def report_suite(directory: str, out_path: str | None = None) -> int:
     for r in rows:
         lines.append("| " + " | ".join(r[h].ljust(w) for h, w in zip(header, widths)) + " |")
     lines.append(f"\n{passed}/{len(rows)} experiments pass")
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
     if out_path:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
-        Path(out_path).write_text(buf.getvalue())
+        try:
+            Path(out_path).write_text(buf.getvalue())
+        except OSError as err:
+            print(f"cannot write the summary: {err}", file=sys.stderr)
+            return 2
+    print("\n".join(lines) + "\n", end="")
     return 0 if passed == len(rows) else 1
 
 

@@ -80,8 +80,8 @@ def estimate_advantage(game_fn, trials: int, seed: int, name: str = "game", para
     if trials < 1:
         raise ValueError("need at least one trial")
     t0 = time.perf_counter()
-    rands = Rand(seed).split(trials)
-    successes = sum(game_fn(r) for r in rands)
+    # trial i's generator is Rand(seed).split(trials)[i], built when the trial runs
+    successes = sum(game_fn(Rand(np.random.SeedSequence(seed, spawn_key=(i,)))) for i in range(trials))
     dt = (time.perf_counter() - t0) * 1000
     return ExperimentResult(
         game=name,

@@ -69,28 +69,10 @@ def make_prf(key: BitString, in_bits: int, out_bits: int) -> IdealPrf:
     return IdealPrf(key, in_bits, out_bits)
 
 
-class LastKeyPrf:
-    """make_prf(key, in_bits, out_bits), kept for the last key it was
-    called with: an ORAM access encrypts every block of a path under
-    one key, so a scheme builds its PRF once per key."""
-
-    def __init__(self, in_bits: int, out_bits: int):
-        self.in_bits = in_bits
-        self.out_bits = out_bits
-        self._key = None
-        self._prf = None
-
-    def __call__(self, key: BitString) -> IdealPrf:
-        if key != self._key:
-            self._prf = make_prf(key, self.in_bits, self.out_bits)
-            self._key = key
-        return self._prf
-
-
 QPRP_DOMAIN_CAP = 14
 
 
-@dataclass
+@dataclass(eq=False)
 class Permutation:
     """Tabulated bijection on {0,...,2**domain_bits - 1}.
 

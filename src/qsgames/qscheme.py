@@ -18,10 +18,11 @@ as joint states, encrypted on a register) work throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .bits import BitString
-from .prf import LastKeyPrf
+from .prf import make_prf
 from .quantum import (
     DensityMatrix,
     apply_unitary,
@@ -51,7 +52,8 @@ class Skqes1Scheme:
         self.r_bits = 2 * n_qubits
         self.key_bits = 2 * n_qubits if key_bits is None else key_bits
         self.ciphertext_qubits = n_qubits
-        self._prf = LastKeyPrf(self.r_bits, self.pad_bits)
+        self._prf = functools.lru_cache(maxsize=1)(
+            functools.partial(make_prf, in_bits=self.r_bits, out_bits=self.pad_bits))
 
     def key_gen(self, rand: Rand) -> BitString:
         return rand.bits(self.key_bits)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bits import BitString
 from .prf import Permutation
-from .rng import Rand
+from .rng import Rand, TableCache
 
 QUBIT_CAP = 12
 DENSITY_QUBIT_CAP = 10  # one complex 2**n x 2**n matrix: 16 MiB at 10 qubits
@@ -370,39 +370,11 @@ def type2_from_type1(enc1: Permutation, dec1: Permutation) -> Permutation:
 # cached index tables
 # ---------------------------------------------------------------------------
 
-# Bound on the bytes of all cached tables together.  A table larger
-# than this is computed on every call and never stored; storing one
-# that does not fit beside the others first clears the cache.  Every
-# table of a 3-qubit block fits (about 8 KiB).  The bound stays small
-# because long-lived tables split the free heap that large density
-# matrices reuse: 256 KiB of 6-qubit tables raised the peak RSS of a
-# run that also simulates 10 qubits by 8 MB.
-_TABLE_BUDGET_BYTES = 64 << 10
-
-_TABLE_CACHE: dict[tuple, object] = {}
-_cached_bytes = 0
-
-
-def _cached(build, *args):
-    """build(*args), an array or a tuple holding arrays, cached read-only
-    within the byte budget."""
-    global _cached_bytes
-    key = (build, *args)
-    tables = _TABLE_CACHE.get(key)
-    if tables is None:
-        tables = build(*args)
-        parts = tables if isinstance(tables, tuple) else (tables,)
-        arrays = [a for a in parts if isinstance(a, np.ndarray)]
-        size = sum(a.nbytes for a in arrays)
-        if size <= _TABLE_BUDGET_BYTES:
-            for a in arrays:
-                a.flags.writeable = False
-            if _cached_bytes + size > _TABLE_BUDGET_BYTES:
-                _TABLE_CACHE.clear()
-                _cached_bytes = 0
-            _TABLE_CACHE[key] = tables
-            _cached_bytes += size
-    return tables
+# Every table of a 3-qubit block fits the budget (about 8 KiB).  It
+# stays small because long-lived tables split the free heap that large
+# density matrices reuse: 256 KiB of 6-qubit tables raised the peak RSS
+# of a run that also simulates 10 qubits by 8 MB.
+_TABLES = TableCache(64 << 10)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +426,7 @@ def qotp_apply(key: BitString, state, targets: list[int] | None = None):
         sign |= (pair & 1) << (n - 1 - t)
     data, halves = _state_array(state, "mask")
     # take reads a density matrix flattened in row-major order
-    out = _cached(_sign_phase, n, sign, halves) * data.take(_cached(_flip_index, n, flip, halves))
+    out = _TABLES.get(_sign_phase, n, sign, halves) * data.take(_TABLES.get(_flip_index, n, flip, halves))
     return _same_kind(state, out, DEBUG_CHECKS)
 
 
@@ -509,7 +481,7 @@ def measure_computational(state, targets: list[int], rand: Rand, force: int | No
     data, halves = _state_array(state, "measure")
     n = state.n_qubits
     _check_targets(targets, len(targets), n)
-    other, order, outcome_of = _cached(_measure_tables, n, tuple(targets))
+    other, order, outcome_of = _TABLES.get(_measure_tables, n, tuple(targets))
     # outcome probabilities: squared amplitudes, or the diagonal
     weights = np.abs(data) ** 2 if halves == 1 else np.real(np.diag(data))
     probs = weights.reshape([2] * n)

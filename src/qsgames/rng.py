@@ -253,33 +253,44 @@ def _batch_modpow(g: int, exps: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
-# Largest seed-output table bm_recover_state builds, and the bound on
-# the bytes of all cached tables together, power tables included.
-# Above it the outputs are computed in lockstep for one block of seeds
-# of this size at a time, and a power table over it is not kept.
-_TABLE_BUDGET_BYTES = 64 << 20
+class TableCache:
+    """build(*args), an array or a tuple holding arrays, kept read-only
+    while all kept tables together fit in `budget` bytes.  A result
+    larger than the budget is returned and never kept; keeping one that
+    does not fit beside the others first empties the cache."""
 
-_POW_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_OUTPUT_TABLE_CACHE: dict[tuple, np.ndarray] = {}
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.tables: dict[tuple, object] = {}
+        self.nbytes = 0
+
+    def get(self, build, *args):
+        key = (build, *args)
+        tables = self.tables.get(key)
+        if tables is None:
+            tables = build(*args)
+            parts = tables if isinstance(tables, tuple) else (tables,)
+            arrays = [a for a in parts if isinstance(a, np.ndarray)]
+            size = sum(a.nbytes for a in arrays)
+            if size <= self.budget:
+                for a in arrays:
+                    a.flags.writeable = False
+                if self.nbytes + size > self.budget:
+                    self.tables.clear()
+                    self.nbytes = 0
+                self.tables[key] = tables
+                self.nbytes += size
+        return tables
 
 
-def _keep(cache: dict, key, table: np.ndarray) -> np.ndarray:
-    """Store table in cache if it fits the budget; storing one that does
-    not fit beside the tables already kept first clears both caches."""
-    if table.nbytes <= _TABLE_BUDGET_BYTES:
-        kept = sum(t.nbytes for c in (_POW_TABLE_CACHE, _OUTPUT_TABLE_CACHE) for t in c.values())
-        if kept + table.nbytes > _TABLE_BUDGET_BYTES:
-            _POW_TABLE_CACHE.clear()
-            _OUTPUT_TABLE_CACHE.clear()
-        cache[key] = table
-    return table
+# Power and seed-output tables for bm_recover_state.  The budget is also
+# the largest output table it builds: above it the outputs are computed
+# in lockstep for one block of seeds of this size at a time.
+_TABLES = TableCache(64 << 20)
 
 
-def _pow_table(p: int, g: int) -> np.ndarray:
-    table = _POW_TABLE_CACHE.get((p, g))
-    if table is None:
-        table = _keep(_POW_TABLE_CACHE, (p, g), _batch_modpow(g, np.arange(p, dtype=np.int64), p))
-    return table
+def _powers(p: int, g: int) -> np.ndarray:
+    return _batch_modpow(g, np.arange(p, dtype=np.int64), p)
 
 
 def _lockstep_outputs(powers: np.ndarray, n_tag: int, n_tree: int, first: int, stop: int, horizon: int) -> np.ndarray:
@@ -303,12 +314,7 @@ def _lockstep_outputs(powers: np.ndarray, n_tag: int, n_tree: int, first: int, s
 
 
 def _output_table(p: int, g: int, n_tag: int, n_tree: int, horizon: int) -> np.ndarray:
-    key = (p, g, n_tag, n_tree, horizon)
-    table = _OUTPUT_TABLE_CACHE.get(key)
-    if table is None:
-        outputs = _lockstep_outputs(_pow_table(p, g), n_tag, n_tree, 1, p, horizon)
-        table = _keep(_OUTPUT_TABLE_CACHE, key, outputs)
-    return table
+    return _lockstep_outputs(_TABLES.get(_powers, p, g), n_tag, n_tree, 1, p, horizon)
 
 
 def _first_fit(outputs: np.ndarray, first: int, obs: dict, predict_pos: int) -> tuple[int, int]:
@@ -346,7 +352,7 @@ def bm_recover_state(
     The outputs of every seed up to the furthest position needed are
     tabulated once per (p, g, n_tag, n_tree, horizon) and cached; a
     query filters them on the observations.  A table larger than
-    _TABLE_BUDGET_BYTES is never built: the same filter then runs on
+    _TABLES.budget is never built: the same filter then runs on
     outputs computed in lockstep, one block of seeds at a time.
     """
     _check_modulus(p)
@@ -356,10 +362,10 @@ def bm_recover_state(
     # a negative position names no output and constrains nothing
     obs = {pos: val for pos, val in zip(positions, expected) if pos >= 0}
     seed_bytes = np.min_scalar_type((1 << n_tree) - 1).itemsize * (horizon + 1)
-    if (p - 1) * seed_bytes <= _TABLE_BUDGET_BYTES:
-        return _first_fit(_output_table(p, g, n_tag, n_tree, horizon), 1, obs, predict_pos)
-    block = max(1, _TABLE_BUDGET_BYTES // seed_bytes)
-    powers = _pow_table(p, g)
+    if (p - 1) * seed_bytes <= _TABLES.budget:
+        return _first_fit(_TABLES.get(_output_table, p, g, n_tag, n_tree, horizon), 1, obs, predict_pos)
+    block = max(1, _TABLES.budget // seed_bytes)
+    powers = _TABLES.get(_powers, p, g)
     for first in range(1, p, block):
         outputs = _lockstep_outputs(powers, n_tag, n_tree, first, min(first + block, p), horizon)
         found = _first_fit(outputs, first, obs, predict_pos)

@@ -19,13 +19,14 @@ unitary and the superposition oracle's xor-style table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import BitString, parity
-from .prf import LastKeyPrf, Permutation, sample_ideal_qprp
+from .prf import Permutation, make_prf, sample_ideal_qprp
 from .rng import Rand, next_prime
 
 
@@ -132,7 +133,9 @@ class GoldreichScheme:
         self.r_bits = msg_bits if r_bits is None else r_bits
         self.key_bits = msg_bits if key_bits is None else key_bits
         self.perm_bits = msg_bits
-        self._prf = LastKeyPrf(self.r_bits, self.msg_bits)
+        # an ORAM access encrypts every block of a path under one key
+        self._prf = functools.lru_cache(maxsize=1)(
+            functools.partial(make_prf, in_bits=self.r_bits, out_bits=self.msg_bits))
 
     def key_gen(self, rand: Rand) -> BitString:
         return rand.bits(self.key_bits)
@@ -173,12 +176,12 @@ class PrpScheme:
         self.key_bits = key_bits
         self.cipher_bits = msg_bits + r_bits
         self.perm_bits = self.cipher_bits
+        # a game encrypts and decrypts many times under one key
+        self._perm = functools.lru_cache(maxsize=1)(
+            functools.partial(sample_ideal_qprp, domain_bits=self.cipher_bits))
 
     def key_gen(self, rand: Rand) -> BitString:
         return rand.bits(self.key_bits)
-
-    def _perm(self, key: BitString) -> Permutation:
-        return sample_ideal_qprp(key, self.cipher_bits)
 
     def enc(self, key: BitString, m: BitString, rand: Rand = None, r: BitString = None) -> Ciphertext:
         if m.width != self.msg_bits:

@@ -168,6 +168,15 @@ class TestRunCli:
         assert cli.main(["--experiment", "fair-coin-calibration", "--trials", "2",
                          "--out", missing]) == 2
         assert capsys.readouterr().err.count("No such file") == 2
+        # --report-suite: a missing directory, a file in place of one,
+        # and an unwritable summary, each one line on stderr
+        a_file = tmp_path / "a.json"
+        a_file.write_text("{}")
+        for argv in (["--report-suite", missing], ["--report-suite", str(a_file)],
+                     ["--report-suite", str(tmp_path), "--out", missing]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unknown_lift_target_names_the_choices(self, capsys):
         assert cli.main(["--experiment", "hadamard-impossibility", "--trials", "5",

@@ -115,6 +115,13 @@ class TestPermutation:
         assert p.apply(0b010) == 0b111
         assert p.invert(0b111) == 0b010
 
+    def test_equality_is_identity(self):
+        # the tables are arrays, so == must not compare them elementwise
+        p = Permutation.identity(2)
+        assert (p == Permutation.identity(2)) is False
+        assert (p == p) is True
+        assert (p != p) is False
+
     def test_inverted(self):
         p = Permutation.from_fn(lambda x: (x + 1) % 8, 3)
         assert p.inverted().apply(p.apply(3)) == 3

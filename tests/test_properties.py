@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsgames import quantum
+from qsgames import games, quantum
 from qsgames.bits import BitString
 from qsgames.cli import load_config, parse_params
 from qsgames.oram import (
@@ -43,7 +43,7 @@ from qsgames.quantum import (
     type2_from_type1,
     type2_oracle,
 )
-from qsgames.rng import Rand
+from qsgames.rng import Rand, TableCache
 
 N_DAT = 4
 bounded = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -353,16 +353,16 @@ def test_qotp_average_is_maximally_mixed(n, seed):
 def test_cached_tables_stay_within_budget(monkeypatch):
     # the peak bound has no room for QSGAMES_DEBUG's validation of each result
     monkeypatch.setattr(quantum, "DEBUG_CHECKS", False)
-    monkeypatch.setattr(quantum, "_TABLE_CACHE", {})
-    monkeypatch.setattr(quantum, "_cached_bytes", 0)
-    budget = quantum._TABLE_BUDGET_BYTES
+    cache = TableCache(quantum._TABLES.budget)
+    monkeypatch.setattr(quantum, "_TABLES", cache)
+    budget = cache.budget
     rand = Rand(11)
     states = {n: DensityMatrix.random_pure(n, rand) for n in (9, 10)}
     biggest = states[10].mat.nbytes
 
     def cached_bytes() -> int:
         total = 0
-        for tables in quantum._TABLE_CACHE.values():
+        for tables in cache.tables.values():
             parts = tables if isinstance(tables, tuple) else (tables,)
             total += sum(a.nbytes for a in parts if isinstance(a, np.ndarray))
         return total
@@ -382,8 +382,8 @@ def test_cached_tables_stay_within_budget(monkeypatch):
     # the tables kept plus the working copies of one 10-qubit call
     assert peak <= budget + 3 * biggest
 
-    assert quantum._TABLE_CACHE
-    for tables in quantum._TABLE_CACHE.values():
+    assert cache.tables
+    for tables in cache.tables.values():
         array = tables[-1] if isinstance(tables, tuple) else tables
         with pytest.raises(ValueError):
             array.flat[0] = 1
@@ -492,3 +492,19 @@ def test_param_and_config_parse_alike(tmp_path_factory, items, data):
     assert got == want
     assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
     assert load_config(str(config)) == got
+
+
+# estimate_advantage builds trial i's generator from (seed, i) when the
+# trial runs; it must be the one Rand(seed).split(trials) hands out.
+
+
+@bounded
+@given(st.integers(0, 2**64), st.integers(0, 63), st.data())
+def test_trial_generators_match_split(seed, i, data):
+    n = data.draw(st.integers(i + 1, 64))
+    split = [r.numpy().bit_generator.state for r in Rand(seed).split(n)]
+    direct = Rand(np.random.SeedSequence(seed, spawn_key=(i,)))
+    assert direct.numpy().bit_generator.state == split[i]
+    seen = []
+    games.estimate_advantage(lambda r: seen.append(r.numpy().bit_generator.state) or 0, n, seed)
+    assert seen == split

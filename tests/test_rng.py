@@ -8,6 +8,7 @@ from qsgames.rng import (
     BlumMicaliPrng,
     CounterPrfPrng,
     Rand,
+    TableCache,
     _prime_factors,
     bm_recover_state,
     bm_stream_bits,
@@ -206,16 +207,18 @@ class TestRecovery:
             expected[data.draw(st.integers(0, len(positions) - 1))] = data.draw(st.sampled_from([-1, 1 << n_tree]))
         expected = expected[:len(expected) - data.draw(st.integers(0, len(expected)))]
 
-        rng._OUTPUT_TABLE_CACHE.clear()
+        cache = TableCache(rng._TABLES.budget)
+        if branch == "lockstep":
+            # too small for the table: blocks of 1 to p-2 seeds
+            block = data.draw(st.integers(1 if p < 100 else (p - 1) // 8, p - 2))
+            seed_bytes = np.min_scalar_type((1 << n_tree) - 1).itemsize * (max(positions + [predict_pos]) + 1)
+            cache = TableCache(block * seed_bytes)
         with pytest.MonkeyPatch.context() as mp:
-            if branch == "lockstep":
-                # too small for the table: blocks of 1 to p-2 seeds
-                block = data.draw(st.integers(1 if p < 100 else (p - 1) // 8, p - 2))
-                seed_bytes = np.min_scalar_type((1 << n_tree) - 1).itemsize * (max(positions + [predict_pos]) + 1)
-                mp.setattr(rng, "_TABLE_BUDGET_BYTES", block * seed_bytes)
+            mp.setattr(rng, "_TABLES", cache)
             got = bm_recover_state(p, g, n_tag, n_tree, positions, expected, predict_pos)
         assert got == lockstep_recover(p, g, n_tag, n_tree, positions, expected, predict_pos)
-        assert bool(rng._OUTPUT_TABLE_CACHE) == (branch == "table")
+        # the lockstep branch may keep the power table, never an output table
+        assert any(key[0] is rng._output_table for key in cache.tables) == (branch == "table")
         if mode == "true" or (mode == "last-wins" and len(expected) == len(positions)):
             assert got[0] > 0
 
@@ -223,9 +226,8 @@ class TestRecovery:
         # power tables count against the budget beside the output tables:
         # 12289's power table (96 KiB) is built for its query and not kept
         budget = 16 << 10
-        monkeypatch.setattr(rng, "_TABLE_BUDGET_BYTES", budget)
-        monkeypatch.setattr(rng, "_POW_TABLE_CACHE", {})
-        monkeypatch.setattr(rng, "_OUTPUT_TABLE_CACHE", {})
+        cache = TableCache(budget)
+        monkeypatch.setattr(rng, "_TABLES", cache)
         groups = [(23, 5), (1019, 2), (12289, 11), (1019, 2), (12289, 11), (23, 5)]
         for j, (p, g) in enumerate(groups):
             for n_tag, n_tree in ((5, 3), (4, 9)):
@@ -235,9 +237,12 @@ class TestRecovery:
                 expected = [truth[pos] for pos in positions]
                 got = bm_recover_state(p, g, n_tag, n_tree, positions, expected, 5)
                 assert got == lockstep_recover(p, g, n_tag, n_tree, positions, expected, 5)
-                kept = [t.nbytes for cache in (rng._POW_TABLE_CACHE, rng._OUTPUT_TABLE_CACHE)
-                        for t in cache.values()]
-                assert sum(kept) <= budget
+                assert sum(t.nbytes for t in cache.tables.values()) <= budget
+        outputs = [t for key, t in cache.tables.items() if key[0] is rng._output_table]
+        assert outputs
+        for table in outputs:
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
 
     @pytest.mark.parametrize("positions,expected,predict_pos", [
         ([], [], 4), ([], [1], 4), ([-1], [3], -2), ([-2, 3], [0, 5], 4), ([2], [1], -1),

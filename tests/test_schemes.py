@@ -3,9 +3,9 @@ import math
 import pytest
 
 from qsgames.bits import BitString
-from qsgames.prf import Permutation, make_prf
+from qsgames.prf import Permutation, make_prf, sample_ideal_qprp
 from qsgames.rng import Rand
-from qsgames import schemes
+from qsgames import experiments, schemes
 from qsgames.games import TypeOneEncOracle
 from qsgames.schemes import (
     BOT,
@@ -100,6 +100,41 @@ class TestGoldreich:
 
 
 class TestPrpScheme:
+    @pytest.mark.parametrize("msg_bits,r_bits,key_bits", [(3, 3, 16), (8, 4, 9)])
+    def test_alternating_keys_match_fresh_prp(self, msg_bits, r_bits, key_bits):
+        # the scheme keeps the permutation of the last key; alternating
+        # keys, including one equal in value but not in width, must never
+        # reuse the wrong one
+        scheme = PrpScheme(msg_bits, r_bits, key_bits=key_bits)
+        cipher_bits = scheme.cipher_bits
+        rand = Rand(8)
+        k1 = scheme.key_gen(rand)
+        keys = [k1, scheme.key_gen(rand), BitString(k1.value, key_bits + 8), BitString(k1.value, key_bits)]
+        for i in range(12):
+            key = keys[i % len(keys)]
+            perm = sample_ideal_qprp(key, cipher_bits)
+            m, r, y = rand.bits(msg_bits), rand.bits(r_bits), rand.bits(cipher_bits)
+            assert scheme.enc(key, m, r=r).body.value == perm.apply(m.concat(r).value)
+            plain = BitString(perm.invert(y.value), cipher_bits).take(msg_bits)
+            assert scheme.dec(key, Ciphertext(scheme.name, y)) == plain
+            got, bits = scheme.enc_perm(key, r)
+            assert bits == msg_bits
+            assert got.forward.tolist() == [perm.apply(z ^ r.value) for z in range(1 << cipher_bits)]
+
+    def test_one_permutation_per_trial(self, monkeypatch):
+        # the memo binds sample_ideal_qprp when the scheme is built, so
+        # the counter goes in first; a trial encrypts and decrypts under
+        # one key
+        calls = []
+
+        def counting(key, domain_bits):
+            calls.append(key)
+            return sample_ideal_qprp(key, domain_bits)
+
+        monkeypatch.setattr(schemes, "sample_ideal_qprp", counting)
+        experiments.get("cca2-flip-null").run(trials=1, seed=3, overrides={})
+        assert len(calls) == 1
+
     def test_roundtrip_exhaustive(self):
         scheme = PrpScheme(3, 3)
         rngs = Rand(7).split(5)
