@@ -1,14 +1,12 @@
 """Concrete adversaries for the separation experiments.
 
-Each constructor returns an adversary object matching the interface of
-the game it plays, with an AttackSpec describing the target family and
-the expected outcome (certainty against the broken target, statistical
-null against the hardened one).
+Each class is an adversary matching the interface of the game it
+plays.  experiments.CATALOG pairs it with its targets and states the
+expected outcome: certainty against the broken target, a statistical
+null against the hardened one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .bits import BitString
 from .games import QindChallenge
@@ -19,14 +17,6 @@ from .rng import Rand, bm_recover_state
 from .schemes import BOT, Cca1SepScheme, Ciphertext
 
 
-@dataclass(frozen=True)
-class AttackSpec:
-    name: str
-    target: str
-    game: str
-    expected: str
-
-
 # ---------------------------------------------------------------------------
 # classical separations
 # ---------------------------------------------------------------------------
@@ -35,8 +25,6 @@ class AttackSpec:
 class OtpReuseAttack:
     """Encrypt both candidate messages through the oracle and compare
     with the challenge; breaks any deterministic scheme."""
-
-    spec = AttackSpec("otp-reuse", "otp", "ind-cpa", "wins with probability 1 vs the pad")
 
     def __init__(self, msg_bits: int):
         self.m0 = BitString.zeros(msg_bits)
@@ -56,17 +44,10 @@ class OtpReuseAttack:
         return rand.coin()
 
 
-def otp_reuse_attack(msg_bits: int = 8) -> OtpReuseAttack:
-    return OtpReuseAttack(msg_bits)
-
-
 class Cca1CounterexampleAttack:
     """Three-query key recovery against the paired-ciphertext scheme:
     encrypt anything, decrypt the swapped halves to learn the hidden
     message, encrypt the hidden message to read off the key."""
-
-    spec = AttackSpec("cca1-counterexample", "skes-cca1-sep", "ind-cca1",
-                      "recovers the key with probability 1")
 
     def __init__(self, scheme: Cca1SepScheme):
         self.scheme = scheme
@@ -101,16 +82,9 @@ class Cca1CounterexampleAttack:
         return rand.coin()
 
 
-def cca1_counterexample_attack(scheme: Cca1SepScheme) -> Cca1CounterexampleAttack:
-    return Cca1CounterexampleAttack(scheme)
-
-
 class Cca2FlipAttack:
     """Flip the malleable core of the challenge, decrypt the (now
     admissible) ciphertext, unflip, compare."""
-
-    spec = AttackSpec("cca2-flip", "skes-goldreich", "ind-cca2",
-                      "wins with probability 1 via one related-ciphertext query")
 
     def __init__(self, msg_bits: int):
         self.m0 = BitString.zeros(msg_bits)
@@ -133,10 +107,6 @@ class Cca2FlipAttack:
         return rand.coin()
 
 
-def cca2_flip_attack(msg_bits: int = 8) -> Cca2FlipAttack:
-    return Cca2FlipAttack(msg_bits)
-
-
 # ---------------------------------------------------------------------------
 # Hadamard distinguisher against in-place quantum encryption
 # ---------------------------------------------------------------------------
@@ -149,9 +119,6 @@ class HadamardDistinguisher:
     the second, so re-applying H and measuring separates them with
     certainty whenever the core does not expand the message.
     """
-
-    spec = AttackSpec("hadamard-distinguisher", "type2-lift(quasi-length-preserving)",
-                      "qind", "measures all-zeros iff the first arm was encrypted")
 
     def __init__(self, msg_qubits: int):
         self.m = msg_qubits
@@ -173,10 +140,6 @@ class HadamardDistinguisher:
         return 0 if outcome.value == 0 else 1
 
 
-def hadamard_distinguisher(msg_qubits: int) -> HadamardDistinguisher:
-    return HadamardDistinguisher(msg_qubits)
-
-
 # ---------------------------------------------------------------------------
 # generator-prediction attack on the tree ORAM
 # ---------------------------------------------------------------------------
@@ -192,9 +155,6 @@ class BmOramAttack:
     against wrong predictions; on any failure the attack answers with a
     fair coin rather than aborting.
     """
-
-    spec = AttackSpec("bm-oram-attack", "pathoram(blum-micali)", "ap-ind-cqa",
-                      "wins with the predictor's success rate; null against a secure generator")
 
     def __init__(self, k_queries: int, p: int, g: int, target_id: int = 1, other_id: int = 2,
                  data: BitString | None = None):
@@ -275,9 +235,6 @@ class LeafFrequencyDistinguisher:
     guesses the challenge by matching its most recent leaf observation.
     Null against any unpredictable position-map generator."""
 
-    spec = AttackSpec("leaf-frequency", "pathoram(secure-prng)", "ap-ind-cqa",
-                      "advantage statistically null")
-
     def __init__(self, k_queries: int = 8, target_id: int = 1, other_id: int = 2,
                  data: BitString | None = None):
         self.k = k_queries
@@ -327,8 +284,6 @@ class TagOnlyQapDistinguisher:
     """Challenge arms touch different ids with equal payloads; guesses
     from the challenge leaf against remembered leaf observations."""
 
-    spec = AttackSpec("qap-tag-only", "pathqoram", "qap-ind-cqa", "advantage statistically null")
-
     def __init__(self, k_queries: int = 4, id0: int = 1, id1: int = 2):
         self.k = k_queries
         self.id0 = id0
@@ -370,8 +325,6 @@ class PayloadOnlyQapDistinguisher:
     """Challenge arms share the id but carry orthogonal payloads; the
     guess is scraped from ciphertext digests, which carry no usable
     signal under fresh pads."""
-
-    spec = AttackSpec("qap-payload-only", "pathqoram", "qap-ind-cqa", "advantage statistically null")
 
     def __init__(self, target_id: int = 1):
         self.target_id = target_id

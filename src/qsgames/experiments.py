@@ -97,7 +97,7 @@ def _prp_bound(result, params) -> bool:
 def _cca1_break(p):
     scheme = schemes.Cca1SepScheme(msg_bits=p["msg_bits"])
     # the attack wraps the very scheme instance the game encrypts under
-    return partial(games.game_ind_cca1, scheme, attacks.cca1_counterexample_attack(scheme))
+    return partial(games.game_ind, scheme, attacks.Cca1CounterexampleAttack(scheme), variant="cca1")
 
 
 _LIFT_TARGETS = {"otp": schemes.OtpScheme, "goldreich": schemes.GoldreichScheme}
@@ -163,6 +163,14 @@ def _paired_trials(one_trial, trials: int, seed: int) -> games.ExperimentResult:
     )
 
 
+def _two_ids(p):
+    """The row's parameters, once n_db holds ids 1 and 2, which the two
+    challenge arms of the access-pattern adversaries touch."""
+    if p["n_db"] < 2:
+        raise ValueError(f"n_db must be at least 2 (the challenge touches ids 1 and 2), got {p['n_db']}")
+    return p
+
+
 def _bm_factory(p):
     def factory(rand: Rand):
         params = OramParams(n_db=p["n_db"], n_dat=p["n_dat"])
@@ -221,8 +229,8 @@ CATALOG = (
         "ciphertext-comparison attack against the deterministic pad under chosen plaintexts",
         "plain indistinguishability does not survive an encryption oracle",
         {"msg_bits": 8, "trials": 200, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ind_cpa, schemes.OtpScheme(p["msg_bits"]),
-                          attacks.otp_reuse_attack(p["msg_bits"])),
+        lambda p: partial(games.game_ind, schemes.OtpScheme(p["msg_bits"]),
+                          attacks.OtpReuseAttack(p["msg_bits"]), variant="cpa"),
         _all_wins, "wins every trial",
     ),
     ExperimentDef(
@@ -230,8 +238,8 @@ CATALOG = (
         "the same comparison attack against the randomized PRF scheme",
         "fresh encryption randomness defeats ciphertext comparison",
         {"msg_bits": 8, "trials": 1000, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ind_cpa, schemes.GoldreichScheme(p["msg_bits"]),
-                          attacks.otp_reuse_attack(p["msg_bits"])),
+        lambda p: partial(games.game_ind, schemes.GoldreichScheme(p["msg_bits"]),
+                          attacks.OtpReuseAttack(p["msg_bits"]), variant="cpa"),
         _null_band, _NULL,
     ),
     ExperimentDef(
@@ -247,9 +255,9 @@ CATALOG = (
         "the same attack against the unpaired PRF scheme",
         "without the leaking second half the attack degrades to guessing",
         {"msg_bits": 8, "trials": 1000, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ind_cca1, schemes.GoldreichScheme(p["msg_bits"]),
-                          attacks.cca1_counterexample_attack(
-                              schemes.Cca1SepScheme(msg_bits=p["msg_bits"]))),
+        lambda p: partial(games.game_ind, schemes.GoldreichScheme(p["msg_bits"]),
+                          attacks.Cca1CounterexampleAttack(
+                              schemes.Cca1SepScheme(msg_bits=p["msg_bits"])), variant="cca1"),
         _null_band, _NULL,
     ),
     ExperimentDef(
@@ -257,8 +265,8 @@ CATALOG = (
         "related-ciphertext decryption against the malleable XOR core",
         "pre-challenge-only decryption security does not survive the rejecting oracle game",
         {"msg_bits": 8, "trials": 200, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ind_cca2, schemes.GoldreichScheme(p["msg_bits"]),
-                          attacks.cca2_flip_attack(p["msg_bits"])),
+        lambda p: partial(games.game_ind, schemes.GoldreichScheme(p["msg_bits"]),
+                          attacks.Cca2FlipAttack(p["msg_bits"]), variant="cca2"),
         _all_wins, "wins every trial",
     ),
     ExperimentDef(
@@ -266,8 +274,8 @@ CATALOG = (
         "the same bit-flip attack against the permutation-based scheme",
         "a non-malleable ciphertext space defeats the flip-and-decrypt query",
         {"msg_bits": 8, "r_bits": 4, "trials": 1000, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ind_cca2, schemes.PrpScheme(p["msg_bits"], p["r_bits"]),
-                          attacks.cca2_flip_attack(p["msg_bits"])),
+        lambda p: partial(games.game_ind, schemes.PrpScheme(p["msg_bits"], p["r_bits"]),
+                          attacks.Cca2FlipAttack(p["msg_bits"]), variant="cca2"),
         _null_band, _NULL,
     ),
     # quantum challenges
@@ -277,7 +285,7 @@ CATALOG = (
         "quasi-length-preserving scheme",
         "no scheme whose core preserves message length hides quantum challenge states",
         {"m": 4, "scheme": "otp", "trials": 100, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_qind, _lift_target(p), attacks.hadamard_distinguisher(p["m"])),
+        lambda p: partial(games.game_qind, _lift_target(p), attacks.HadamardDistinguisher(p["m"])),
         _all_wins, "wins every trial",
     ),
     ExperimentDef(
@@ -287,7 +295,7 @@ CATALOG = (
         {"m": 2, "r_bits": 4, "trials": 1000, "seed": DEFAULT_SEED},
         lambda p: partial(games.game_qind,
                           qscheme.Type2LiftScheme(schemes.PrpScheme(p["m"], p["r_bits"])),
-                          attacks.hadamard_distinguisher(p["m"])),
+                          attacks.HadamardDistinguisher(p["m"])),
         _prp_bound, "|advantage| <= 4/2^r + 3 sigma",
     ),
     ExperimentDef(
@@ -307,7 +315,7 @@ CATALOG = (
         {"m": 2, "trials": 200, "seed": DEFAULT_SEED},
         lambda p: partial(games.game_qind,
                           qscheme.Type2LiftScheme(schemes.GoldreichScheme(p["m"])),
-                          _SameArms(p["m"], attacks.hadamard_distinguisher(p["m"]))),
+                          _SameArms(p["m"], attacks.HadamardDistinguisher(p["m"]))),
         lambda result, params: result.advantage == 0.0,
         "advantage exactly 0 over paired challenge bits",
         loop=_paired_trials,
@@ -320,7 +328,7 @@ CATALOG = (
         "a predictable position-map generator breaks access-pattern privacy",
         {"p": DEFAULT_BM_P, "g": DEFAULT_BM_G, "k": 16, "n_db": 16, "n_dat": 8,
          "trials": 200, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ap_ind_cqa, _bm_factory(p),
+        lambda p: partial(games.game_ap_ind_cqa, _bm_factory(_two_ids(p)),
                           attacks.bm_oram_attack(p["k"], p["p"], p["g"]), q1_max=p["k"] + 2),
         lambda result, params: result.successes / result.trials >= 0.95,
         "wins at least 95% of trials",
@@ -331,7 +339,7 @@ CATALOG = (
         "hardening the generator restores access-pattern privacy",
         {"p": DEFAULT_BM_P, "g": DEFAULT_BM_G, "k": 16, "n_db": 16, "n_dat": 8,
          "trials": 1000, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ap_ind_cqa, _secure_factory(p),
+        lambda p: partial(games.game_ap_ind_cqa, _secure_factory(_two_ids(p)),
                           attacks.bm_oram_attack(p["k"], p["p"], p["g"]), q1_max=p["k"] + 2),
         _null_band, _NULL,
     ),
@@ -340,7 +348,7 @@ CATALOG = (
         "leaf-matching distinguisher against the hardened ORAM",
         "announced leaves are fresh uniform values, so matching them is guessing",
         {"k": 8, "n_db": 16, "n_dat": 8, "trials": 1000, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ap_ind_cqa, _secure_factory(p),
+        lambda p: partial(games.game_ap_ind_cqa, _secure_factory(_two_ids(p)),
                           attacks.LeafFrequencyDistinguisher(k_queries=p["k"]), q1_max=p["k"] + 2),
         _null_band, _NULL,
     ),
@@ -349,7 +357,7 @@ CATALOG = (
         "different ids, equal payloads, against the quantum tree ORAM",
         "which id an access touches stays hidden",
         {"n_db": 2, "n_dat": 1, "k": 4, "trials": 500, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_qap_ind_cqa, _qoram_factory(p),
+        lambda p: partial(games.game_qap_ind_cqa, _qoram_factory(_two_ids(p)),
                           attacks.TagOnlyQapDistinguisher(k_queries=p["k"])),
         _null_band, _NULL,
     ),

@@ -158,18 +158,6 @@ def game_ind(scheme, adversary, rand: Rand, variant: str = "plain", forced_b: in
     return int(guess == b)
 
 
-def game_ind_cpa(scheme, adversary, rand, **kw):
-    return game_ind(scheme, adversary, rand, variant="cpa", **kw)
-
-
-def game_ind_cca1(scheme, adversary, rand, **kw):
-    return game_ind(scheme, adversary, rand, variant="cca1", **kw)
-
-
-def game_ind_cca2(scheme, adversary, rand, **kw):
-    return game_ind(scheme, adversary, rand, variant="cca2", **kw)
-
-
 # ---------------------------------------------------------------------------
 # superposition encryption-oracle game (classical challenge)
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ everything with fresh randomness, and greedily pushes blocks as deep
 as possible along the downloaded path (deepest common node first, then
 up toward the root, then the stash).
 
-The SKES is fixed (GoldreichScheme); the position-map generator is
-pluggable, and its choice is exactly what the separation experiments
-attack.
-
-tree_init and tree_access hold the protocol for both ORAMs; a block
-codec (SkesCodec here, qoram.QuantumCodec) supplies the block format.
+One client type, one set-up path (tree_init) and one access protocol
+(tree_access) serve both ORAMs.  The client holds its scheme and a
+block codec built once at set-up: SkesCodec here (GoldreichScheme
+ciphertexts, via oram_init), qoram.QuantumCodec for the quantum
+variant.  The position-map generator is pluggable, and its choice is
+exactly what the separation experiments attack.
 
 The server computes each bucket's view (what an observer of the
 server sees of it) once, when the bucket is stored.  Snapshots, the
@@ -159,9 +159,11 @@ class ClientState:
     position_map: dict
     prng: object
     rand: Rand
-    skes: object
-    stash: list = field(default_factory=list)  # (tag, data) records
-    last_read: BitString | None = None
+    scheme: object
+    codec: object  # holds (params, scheme, key, rand), not the client: no reference cycle
+    stash: list = field(default_factory=list)  # [tag, data] records
+    last_read: BitString | None = None  # data of the last classical read
+    retrieved: object = None  # data register swapped out by the last quantum access
     stash_history: list = field(default_factory=list)
     leaf_log: list = field(default_factory=list)  # truncated values consumed, white-box
 
@@ -175,36 +177,46 @@ class ClientState:
 class SkesCodec:
     """Blocks as SKES ciphertexts of the bit string (tag || data)."""
 
-    def __init__(self, client: ClientState):
-        self._client = client
-        self._zero_msg = BitString.zeros(client.params.n_msg)
+    def __init__(self, params: OramParams, scheme, key, rand: Rand):
+        self._params = params
+        self._scheme = scheme
+        self._key = key
+        self._rand = rand
+        self._zero_msg = BitString.zeros(params.n_msg)
 
     def encode(self, tag: int, data: BitString) -> Ciphertext:
-        c = self._client
-        msg = BitString(tag, c.params.n_tag).concat(data)
-        return c.skes.enc(c.key, msg, rand=c.rand)
+        msg = BitString(tag, self._params.n_tag).concat(data)
+        return self._scheme.enc(self._key, msg, rand=self._rand)
 
     def empty(self) -> Ciphertext:
-        c = self._client
-        return c.skes.enc(c.key, self._zero_msg, rand=c.rand)
+        return self._scheme.enc(self._key, self._zero_msg, rand=self._rand)
 
     def decode(self, block: Ciphertext):
-        c = self._client
-        msg = c.skes.dec(c.key, block)
-        return msg.take(c.params.n_tag).value, msg.drop(c.params.n_tag)
+        msg = self._scheme.dec(self._key, block)
+        return msg.take(self._params.n_tag).value, msg.drop(self._params.n_tag)
 
     @staticmethod
     def view(blocks) -> tuple:
         return tuple((c.body.value, c.r.value) for c in blocks)
 
 
-def tree_init(client, server: ServerDB, codec) -> None:
-    """Map every id to a fresh leaf, then fill the tree with encrypted empties."""
-    for i in range(1, client.params.n_db + 1):
+def tree_init(params: OramParams, rand: Rand, scheme, codec_cls, prng=None):
+    """Set up a fresh client/server pair: draw the key, the position-map
+    generator (unless given) and the client's randomness from `rand`,
+    map every id to a fresh leaf, then fill the tree with encrypted
+    empties.  Returns (client, server)."""
+    key = scheme.key_gen(rand)
+    prng = prng or CounterPrfPrng(rand.child())
+    client_rand = rand.child()
+    codec = codec_cls(params, scheme, key, client_rand)
+    client = ClientState(params, key, {}, prng, client_rand, scheme, codec)
+    server = ServerDB(params.n_tree, params.n_bkt)
+    for i in range(1, params.n_db + 1):
         client.position_map[i] = client.fresh_leaf()
     for idx in range(server.node_count):
         bucket = tuple(codec.empty() for _ in range(server.n_bkt))
         server.store(idx, bucket, codec.view(bucket))
+    return client, server
 
 
 def _common_depth(a: int, b: int, n_tree: int) -> int:
@@ -215,14 +227,14 @@ def _common_depth(a: int, b: int, n_tree: int) -> int:
     return 0
 
 
-def tree_access(client, server: ServerDB, codec, rid: int, step):
+def tree_access(client: ClientState, server: ServerDB, rid: int, step):
     """The access protocol both ORAMs share; returns (leaf, down, up).
 
     `step(target)` performs the variant's read/write on the target
     record ([tag, data], from the branch or the stash, or None when the
     id was never stored) and returns a new record to store, or None.
     """
-    params = client.params
+    params, codec = client.params, client.codec
     if not 1 <= rid <= params.n_db:
         raise ValueError(f"id {rid} outside 1..{params.n_db}")
     leaf = client.position_map[rid]
@@ -280,13 +292,8 @@ def oram_init(params: OramParams, rand: Rand, prng=None):
     """Set up a fresh client/server pair with an all-empty encrypted tree."""
     # 32 randomness bits keep re-encryption collisions out of reach at
     # the trial counts the freshness checks run with
-    skes = GoldreichScheme(params.n_msg, r_bits=32, key_bits=params.key_bits)
-    key = skes.key_gen(rand)
-    prng = prng or CounterPrfPrng(rand.child())
-    client = ClientState(params, key, {}, prng, rand.child(), skes)
-    server = ServerDB(params.n_tree, params.n_bkt)
-    tree_init(client, server, SkesCodec(client))
-    return client, server
+    scheme = GoldreichScheme(params.n_msg, r_bits=32, key_bits=params.key_bits)
+    return tree_init(params, rand, scheme, SkesCodec, prng)
 
 
 def oram_access(client: ClientState, server: ServerDB, dr: DataRequest):
@@ -305,7 +312,7 @@ def oram_access(client: ClientState, server: ServerDB, dr: DataRequest):
         return None
 
     pre = server.snapshot()
-    leaf, down, up = tree_access(client, server, SkesCodec(client), dr.id, read_write)
+    leaf, down, up = tree_access(client, server, dr.id, read_write)
     client.stash_history.append(len(client.stash))
     return client, server, AccessPattern(pre, Transcript(leaf, down, up), server.snapshot())
 
@@ -352,15 +359,12 @@ def check_minimal_soundness(trace: list[TraceStep]) -> SoundnessReport:
     key retention, read-returns-stored-data, and write-persistence."""
     shadow: dict[int, BitString] = {}
     violations = []
-    zero = None
     for i, step in enumerate(trace):
         if step.key_after != step.key_before:
             violations.append((i, "key", "client key changed during access"))
         if step.aborted:
             violations.append((i, "abort", f"access {step.dr} aborted on malformed block"))
             continue
-        if zero is None and step.dr.data is not None:
-            zero = BitString.zeros(step.dr.data.width)
         if step.dr.op == "write":
             shadow[step.dr.id] = step.dr.data
         else:

@@ -8,6 +8,11 @@ are the same primitive: a swap between the client's payload register
 and the block's data register.  Qubit count is conserved; nothing is
 ever copied.
 
+The client, its set-up and the access protocol are oram's
+(ClientState, tree_init, tree_access); this module supplies the block
+format (QuantumCodec), the swap step and the safe extractor.  The
+transcript is oram.Transcript, its down/up views block digests.
+
 Blocks are simulated one density matrix at a time, which is exact
 because encryption acts blockwise and the tree holds no cross-block
 entanglement.
@@ -21,15 +26,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import BitString
-from .oram import OramParams, ServerDB, tree_access, tree_init
+from .oram import ClientState, OramParams, ServerDB, Transcript, tree_access, tree_init
 from .qscheme import QCiphertext, Skqes1Scheme
 from .quantum import DensityMatrix, measure_computational, partial_trace
-from .rng import CounterPrfPrng, Rand
+from .rng import Rand
 
 
 @dataclass(frozen=True)
@@ -61,29 +66,6 @@ class QuantumBlock:
         return h.hexdigest()
 
 
-@dataclass
-class QTranscript:
-    leaf: int
-    down_digests: tuple
-    up_digests: tuple
-
-
-@dataclass
-class QClientState:
-    params: OramParams
-    key: BitString
-    position_map: dict
-    prng: object
-    rand: Rand
-    scheme: Skqes1Scheme
-    stash: list = field(default_factory=list)  # (tag, data DensityMatrix)
-    retrieved: DensityMatrix | None = None
-
-    def fresh_leaf(self) -> int:
-        value = self.prng.next_value(self.params.n_tag).value
-        return value & ((1 << self.params.n_tree) - 1)
-
-
 def _zero_data(params: OramParams) -> DensityMatrix:
     return DensityMatrix.basis(params.n_dat, 0)
 
@@ -92,49 +74,45 @@ class QuantumCodec:
     """Blocks as quantum ciphertexts of (tag register || data register);
     decoding measures only the tag qubits."""
 
-    def __init__(self, client: QClientState):
-        self._client = client
-        self._empty_plain = DensityMatrix.basis(client.params.n_msg, 0)
+    def __init__(self, params: OramParams, scheme: Skqes1Scheme, key: BitString, rand: Rand):
+        self._params = params
+        self._scheme = scheme
+        self._key = key
+        self._rand = rand
+        self._empty_plain = DensityMatrix.basis(params.n_msg, 0)
 
     def encode(self, tag: int, data: DensityMatrix) -> QuantumBlock:
-        c = self._client
-        plain = DensityMatrix.basis(c.params.n_tag, tag).tensor(data)
-        return QuantumBlock(c.scheme.enc(c.key, plain, rand=c.rand))
+        plain = DensityMatrix.basis(self._params.n_tag, tag).tensor(data)
+        return QuantumBlock(self._scheme.enc(self._key, plain, rand=self._rand))
 
     def empty(self) -> QuantumBlock:
-        c = self._client
-        return QuantumBlock(c.scheme.enc(c.key, self._empty_plain, rand=c.rand))
+        return QuantumBlock(self._scheme.enc(self._key, self._empty_plain, rand=self._rand))
 
     def decode(self, block: QuantumBlock):
         """(tag, data register); an empty block's data is never used, so
         it is not traced out.  The tag is always measured, since the
         measurement draws from the client's randomness."""
-        c = self._client
-        plain = c.scheme.dec(c.key, block.cipher)
-        tag_bits, post = measure_computational(plain, list(range(c.params.n_tag)), c.rand)
+        n_tag, n_msg = self._params.n_tag, self._params.n_msg
+        plain = self._scheme.dec(self._key, block.cipher)
+        tag_bits, post = measure_computational(plain, list(range(n_tag)), self._rand)
         if tag_bits.value == 0:
             return 0, None
-        return tag_bits.value, partial_trace(post, list(range(c.params.n_tag, c.params.n_msg)))
+        return tag_bits.value, partial_trace(post, list(range(n_tag, n_msg)))
 
     @staticmethod
     def view(blocks) -> tuple:
         return tuple(b.digest() for b in blocks)
 
 
-def qoram_init(params: OramParams, rand: Rand, prng=None, scheme: Skqes1Scheme | None = None):
+def qoram_init(params: OramParams, rand: Rand, prng=None):
     """Fresh client/server pair; every block encrypts |0...0>."""
-    scheme = scheme or Skqes1Scheme(params.n_msg)
-    key = scheme.key_gen(rand)
-    prng = prng or CounterPrfPrng(rand.child())
-    client = QClientState(params, key, {}, prng, rand.child(), scheme)
-    server = ServerDB(params.n_tree, params.n_bkt)
-    tree_init(client, server, QuantumCodec(client))
-    return client, server
+    return tree_init(params, rand, Skqes1Scheme(params.n_msg), QuantumCodec, prng)
 
 
-def qoram_access(client: QClientState, server: ServerDB, qdr: QuantumDataRequest):
+def qoram_access(client: ClientState, server: ServerDB, qdr: QuantumDataRequest):
     """One access: tag-measure each branch block, swap payloads on match,
-    re-encrypt fresh, evict, upload.  Returns (client, server, QTranscript).
+    re-encrypt fresh, evict, upload.  Returns (client, server, Transcript),
+    the transcript's down/up views being block digests.
     """
     params = client.params
     payload = qdr.payload if qdr.payload is not None else _zero_data(params)
@@ -150,8 +128,8 @@ def qoram_access(client: QClientState, server: ServerDB, qdr: QuantumDataRequest
         target[1], client.retrieved = payload, target[1]
         return None
 
-    leaf, down, up = tree_access(client, server, QuantumCodec(client), qdr.id, swap)
-    return client, server, QTranscript(leaf, down, up)
+    leaf, down, up = tree_access(client, server, qdr.id, swap)
+    return client, server, Transcript(leaf, down, up)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +137,15 @@ def qoram_access(client: QClientState, server: ServerDB, qdr: QuantumDataRequest
 # ---------------------------------------------------------------------------
 
 
-def safe_extractor_default(transcript: QTranscript | None, server: ServerDB) -> dict:
+def safe_extractor_default(transcript: Transcript | None, server: ServerDB) -> dict:
     """Identity-action extractor: classical channel contents plus
     ciphertext-register digests; data registers are never measured and
     the joint state is untouched, so repeated runs agree bit for bit."""
     report = {"db_digest": server.digest()}
     if transcript is not None:
         report["leaf"] = transcript.leaf
-        report["down"] = list(transcript.down_digests)
-        report["up"] = list(transcript.up_digests)
+        report["down"] = list(transcript.down)
+        report["up"] = list(transcript.up)
     return report
 
 

@@ -170,6 +170,8 @@ class PrpScheme:
     randomized = True
 
     def __init__(self, msg_bits: int, r_bits: int, key_bits: int = 16):
+        if r_bits < 1:
+            raise ValueError(f"r_bits must be at least 1, got {r_bits}")
         self.name = "skes-prp"
         self.msg_bits = msg_bits
         self.r_bits = r_bits

@@ -56,7 +56,7 @@ def test_criterion_1_hadamard_certainty():
             for name, inner in (("otp", schemes.OtpScheme(m)),
                                 ("goldreich", schemes.GoldreichScheme(m))):
                 lift = qscheme.Type2LiftScheme(inner)
-                adv = attacks.hadamard_distinguisher(m)
+                adv = attacks.HadamardDistinguisher(m)
                 res = games.estimate_advantage(
                     lambda r: games.game_qind(lift, adv, r), 100, seed=7
                 )
@@ -87,7 +87,7 @@ def test_criterion_2_permutation_channel_bound():
                 mc = avg_perm_channel_sampled(rho, r_bits, Rand(200 + r_bits), 1000)
                 mc_ok &= np.abs(mc.mat - cf.mat).max() <= 3 / np.sqrt(1000)
             lift = qscheme.Type2LiftScheme(schemes.PrpScheme(m, r_bits))
-            adv = attacks.hadamard_distinguisher(m)
+            adv = attacks.HadamardDistinguisher(m)
             res = games.estimate_advantage(
                 lambda r: games.game_qind(lift, adv, r), 1000, seed=7
             )
@@ -166,16 +166,16 @@ def test_criterion_5_classical_separation_suite():
         gold = schemes.GoldreichScheme(8)
         sep = schemes.Cca1SepScheme(msg_bits=8)
         prp = schemes.PrpScheme(8, 4)
-        reuse = attacks.otp_reuse_attack(8)
-        cca1 = attacks.cca1_counterexample_attack(sep)
-        flip = attacks.cca2_flip_attack(8)
+        reuse = attacks.OtpReuseAttack(8)
+        cca1 = attacks.Cca1CounterexampleAttack(sep)
+        flip = attacks.Cca2FlipAttack(8)
         pairs = [
-            ("otp-reuse", lambda r: games.game_ind_cpa(schemes.OtpScheme(8), reuse, r),
-             lambda r: games.game_ind_cpa(gold, reuse, r)),
-            ("cca1-counterexample", lambda r: games.game_ind_cca1(sep, cca1, r),
-             lambda r: games.game_ind_cca1(gold, cca1, r)),
-            ("cca2-flip", lambda r: games.game_ind_cca2(gold, flip, r),
-             lambda r: games.game_ind_cca2(prp, flip, r)),
+            ("otp-reuse", lambda r: games.game_ind(schemes.OtpScheme(8), reuse, r, variant="cpa"),
+             lambda r: games.game_ind(gold, reuse, r, variant="cpa")),
+            ("cca1-counterexample", lambda r: games.game_ind(sep, cca1, r, variant="cca1"),
+             lambda r: games.game_ind(gold, cca1, r, variant="cca1")),
+            ("cca2-flip", lambda r: games.game_ind(gold, flip, r, variant="cca2"),
+             lambda r: games.game_ind(prp, flip, r, variant="cca2")),
         ]
         wins, nulls = [], []
         for name, break_game, null_game in pairs:

@@ -27,48 +27,48 @@ def secure_factory(n_db=16):
 class TestOtpReuse:
     def test_wins_against_pad(self):
         scheme = schemes.OtpScheme(8)
-        adv = attacks.otp_reuse_attack(8)
-        res = games.estimate_advantage(lambda r: games.game_ind_cpa(scheme, adv, r), 200, 0)
+        adv = attacks.OtpReuseAttack(8)
+        res = games.estimate_advantage(lambda r: games.game_ind(scheme, adv, r, variant="cpa"), 200, 0)
         assert res.successes == 200
 
     def test_null_against_randomized_scheme(self):
         scheme = schemes.GoldreichScheme(8)
-        adv = attacks.otp_reuse_attack(8)
-        res = games.estimate_advantage(lambda r: games.game_ind_cpa(scheme, adv, r), 600, 1)
+        adv = attacks.OtpReuseAttack(8)
+        res = games.estimate_advantage(lambda r: games.game_ind(scheme, adv, r, variant="cpa"), 600, 1)
         assert abs(res.advantage) <= games.three_sigma(600)
 
     def test_deterministic_given_seed(self):
         scheme = schemes.OtpScheme(8)
-        adv = attacks.otp_reuse_attack(8)
-        assert [games.game_ind_cpa(scheme, adv, Rand(s)) for s in range(10)] == \
-            [games.game_ind_cpa(scheme, adv, Rand(s)) for s in range(10)]
+        adv = attacks.OtpReuseAttack(8)
+        assert [games.game_ind(scheme, adv, Rand(s), variant="cpa") for s in range(10)] == \
+            [games.game_ind(scheme, adv, Rand(s), variant="cpa") for s in range(10)]
 
 
 class TestCca1Attack:
     def test_wins_against_paired_scheme(self):
         scheme = schemes.Cca1SepScheme(msg_bits=8)
-        adv = attacks.cca1_counterexample_attack(scheme)
-        res = games.estimate_advantage(lambda r: games.game_ind_cca1(scheme, adv, r), 200, 2)
+        adv = attacks.Cca1CounterexampleAttack(scheme)
+        res = games.estimate_advantage(lambda r: games.game_ind(scheme, adv, r, variant="cca1"), 200, 2)
         assert res.successes == 200
 
     def test_cpa_grant_triggers_discipline_error(self):
         scheme = schemes.Cca1SepScheme(msg_bits=8)
-        adv = attacks.cca1_counterexample_attack(scheme)
+        adv = attacks.Cca1CounterexampleAttack(scheme)
         with pytest.raises(games.GameProtocolError):
-            games.game_ind_cpa(scheme, adv, Rand(3))
+            games.game_ind(scheme, adv, Rand(3), variant="cpa")
 
     def test_null_against_plain_scheme(self):
         scheme = schemes.GoldreichScheme(8)
-        adv = attacks.cca1_counterexample_attack(schemes.Cca1SepScheme(msg_bits=8))
-        res = games.estimate_advantage(lambda r: games.game_ind_cca1(scheme, adv, r), 600, 4)
+        adv = attacks.Cca1CounterexampleAttack(schemes.Cca1SepScheme(msg_bits=8))
+        res = games.estimate_advantage(lambda r: games.game_ind(scheme, adv, r, variant="cca1"), 600, 4)
         assert abs(res.advantage) <= games.three_sigma(600)
 
 
 class TestCca2Attack:
     def test_wins_against_xor_core(self):
         scheme = schemes.GoldreichScheme(8)
-        adv = attacks.cca2_flip_attack(8)
-        res = games.estimate_advantage(lambda r: games.game_ind_cca2(scheme, adv, r), 200, 5)
+        adv = attacks.Cca2FlipAttack(8)
+        res = games.estimate_advantage(lambda r: games.game_ind(scheme, adv, r, variant="cca2"), 200, 5)
         assert res.successes == 200
 
     def test_flipped_query_is_accepted_and_challenge_rejected(self):
@@ -86,8 +86,8 @@ class TestCca2Attack:
 
     def test_null_against_permutation_scheme(self):
         scheme = schemes.PrpScheme(8, 4)
-        adv = attacks.cca2_flip_attack(8)
-        res = games.estimate_advantage(lambda r: games.game_ind_cca2(scheme, adv, r), 600, 7)
+        adv = attacks.Cca2FlipAttack(8)
+        res = games.estimate_advantage(lambda r: games.game_ind(scheme, adv, r, variant="cca2"), 600, 7)
         assert abs(res.advantage) <= games.three_sigma(600)
 
 
@@ -95,14 +95,14 @@ class TestHadamard:
     def test_win_bit_depends_only_on_challenge_bit(self):
         for inner in (schemes.OtpScheme(3), schemes.GoldreichScheme(3)):
             lift = qscheme.Type2LiftScheme(inner)
-            adv = attacks.hadamard_distinguisher(3)
+            adv = attacks.HadamardDistinguisher(3)
             for seed in range(10):
                 assert games.game_qind(lift, adv, Rand(seed), forced_b=0) == 1
                 assert games.game_qind(lift, adv, Rand(seed), forced_b=1) == 1
 
     def test_bounded_against_expanding_scheme(self):
         lift = qscheme.Type2LiftScheme(schemes.PrpScheme(2, 4))
-        adv = attacks.hadamard_distinguisher(2)
+        adv = attacks.HadamardDistinguisher(2)
         res = games.estimate_advantage(lambda r: games.game_qind(lift, adv, r), 400, 8)
         assert abs(res.advantage) <= 4 / 16 + games.three_sigma(400)
 
@@ -187,10 +187,3 @@ class TestQapDistinguishers:
         )
         assert abs(res.advantage) <= games.three_sigma(200)
 
-
-def test_attack_specs_declare_games():
-    for ctor in (attacks.otp_reuse_attack(4),
-                 attacks.cca2_flip_attack(4),
-                 attacks.hadamard_distinguisher(2),
-                 attacks.bm_oram_attack(4, BM_P, BM_G)):
-        assert ctor.spec.name and ctor.spec.game

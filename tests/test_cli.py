@@ -152,14 +152,31 @@ class TestRunCli:
         assert "at least 2 trials" in capsys.readouterr().err
         assert cli.main(["--experiment", "qind-identical-arms", "--trials", "2"]) == 0
 
-    def test_internal_error_is_not_a_fail(self, capsys):
-        # n_db=1 leaves no valid challenge id, so the game itself aborts;
-        # that must read neither as a predicate FAIL (1) nor as bad input (2)
+    def test_internal_error_is_not_a_fail(self, capsys, monkeypatch):
+        # a game that aborts must read neither as a predicate FAIL (1)
+        # nor as bad input (2)
+        def aborting_game(*args, **kwargs):
+            raise games.GameProtocolError("challenge request uses an invalid id")
+
+        monkeypatch.setattr(games, "game_ap_ind_cqa", aborting_game)
         for name in ("leaf-frequency-null", "bm-oram-separation"):
-            assert cli.main(["--experiment", name, "--trials", "2", "--param", "n_db=1"]) == 3
+            assert cli.main(["--experiment", name, "--trials", "2"]) == 3
             err = capsys.readouterr().err
             assert err.startswith("internal error: GameProtocolError: ")
             assert err.count("\n") == 1
+
+    def test_challenge_ids_need_two_blocks(self, capsys):
+        # these adversaries challenge with ids 1 and 2
+        for name in ("leaf-frequency-null", "bm-oram-separation", "bm-oram-null", "qap-tag-null"):
+            assert cli.main(["--experiment", name, "--trials", "2", "--param", "n_db=1"]) == 2
+            assert "n_db" in capsys.readouterr().err
+        # one id is all the payload adversary touches: it runs to a verdict
+        assert cli.main(["--experiment", "qap-payload-null", "--trials", "2", "--param", "n_db=1"]) in (0, 1)
+
+    def test_prp_without_randomness_is_a_parameter_error(self, capsys):
+        for name in ("hadamard-prp-bound", "cca2-flip-null"):
+            assert cli.main(["--experiment", name, "--trials", "2", "--param", "r_bits=0"]) == 2
+            assert "r_bits" in capsys.readouterr().err
 
     def test_unusable_paths_are_argument_errors(self, tmp_path, capsys):
         missing = str(tmp_path / "missing" / "file")

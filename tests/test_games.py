@@ -16,9 +16,6 @@ from qsgames.games import (
     estimate_advantage,
     game_euf_cma,
     game_ind,
-    game_ind_cca1,
-    game_ind_cca2,
-    game_ind_cpa,
     game_ind_qcpa,
     game_qind,
     three_sigma,
@@ -78,12 +75,12 @@ class TestOracleDiscipline:
     def test_cpa_denies_decryption(self):
         scheme = schemes.GoldreichScheme(8)
         with pytest.raises(GameProtocolError):
-            game_ind_cpa(scheme, self.DecInPhase1(), Rand(1))
+            game_ind(scheme, self.DecInPhase1(), Rand(1), variant="cpa")
 
     def test_cca1_denies_post_challenge_decryption(self):
         scheme = schemes.GoldreichScheme(8)
         with pytest.raises(GameProtocolError):
-            game_ind_cca1(scheme, self.DecInPhase2(), Rand(2))
+            game_ind(scheme, self.DecInPhase2(), Rand(2), variant="cca1")
 
     def test_cca2_returns_bot_on_challenge(self):
         scheme = schemes.GoldreichScheme(8)
@@ -98,7 +95,7 @@ class TestOracleDiscipline:
                 assert isinstance(oracles.dec(tweaked), BitString)
                 return 0
 
-        game_ind_cca2(scheme, QueryChallenge(), Rand(3))
+        game_ind(scheme, QueryChallenge(), Rand(3), variant="cca2")
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -149,7 +146,7 @@ class TestBaselines:
 class TestQcpaGame:
     def test_basis_embedding_matches_classical(self):
         scheme = schemes.GoldreichScheme(4)
-        reuse = attacks.otp_reuse_attack(4)
+        reuse = attacks.OtpReuseAttack(4)
 
         class BasisEmbed:
             def _wrap(self, qoracle):
@@ -174,7 +171,7 @@ class TestQcpaGame:
                 return reuse.guess(ct, state, self._wrap(qoracle), rand)
 
         for seed in range(30):
-            assert game_ind_cpa(scheme, reuse, Rand(seed)) == \
+            assert game_ind(scheme, reuse, Rand(seed), variant="cpa") == \
                 game_ind_qcpa(scheme, BasisEmbed(), Rand(seed))
 
     def test_query_unquery_preserves_state(self):
@@ -191,7 +188,7 @@ class TestQcpaGame:
 class TestQindGame:
     def test_product_and_entangled_paths_agree_for_product_inputs(self):
         lift = qscheme.Type2LiftScheme(schemes.GoldreichScheme(2))
-        adv = attacks.hadamard_distinguisher(2)
+        adv = attacks.HadamardDistinguisher(2)
 
         class EntangledForm:
             def challenge(self, rand, oracle=None):
@@ -207,7 +204,7 @@ class TestQindGame:
         from qsgames.quantum import CircuitDescription
 
         lift = qscheme.Type2LiftScheme(schemes.OtpScheme(2))
-        adv = attacks.hadamard_distinguisher(2)
+        adv = attacks.HadamardDistinguisher(2)
 
         class DescForm:
             def challenge(self, rand, oracle=None):
@@ -232,12 +229,12 @@ class TestQindGame:
                 assert oracle is not None
                 qc = oracle.encrypt(DensityMatrix.basis(2, 0))
                 assert qc.payload.n_qubits == 2
-                a = attacks.hadamard_distinguisher(2).challenge(rand)
+                a = attacks.HadamardDistinguisher(2).challenge(rand)
                 return a
 
             def distinguish(self, state, env, classical, rand, oracle=None):
                 assert oracle is not None
-                return attacks.hadamard_distinguisher(2).distinguish(state, env, classical, rand)
+                return attacks.HadamardDistinguisher(2).distinguish(state, env, classical, rand)
 
         wins = sum(games.game_qind(lift, UsesOracle(), r, grant_cpa=True) for r in Rand(14).split(20))
         assert wins == 20

@@ -6,6 +6,7 @@ from qsgames.oram import (
     DataRequest,
     OramParams,
     SkesCodec,
+    TraceStep,
     check_minimal_soundness,
     diff_nodes,
     oram_access,
@@ -33,7 +34,7 @@ class TestInit:
         client, server = fresh()
         for bucket in server.nodes:
             for block in bucket:
-                assert client.skes.dec(client.key, block).value == 0
+                assert client.scheme.dec(client.key, block).value == 0
 
     def test_same_seed_same_position_map(self):
         a, _ = fresh(seed=42)
@@ -156,13 +157,30 @@ class TestSoundness:
             if step.dr.op == "read":
                 assert step.returned.value == step.dr.id % 256
 
+    @pytest.mark.parametrize("case", ["key changed", "stored data wrong", "fresh id non-zero",
+                                      "fresh id nothing"])
+    def test_hand_built_violations(self, case):
+        key, other_key = BitString(3, 16), BitString(4, 16)
+        write = DataRequest("write", 1, BitString(0x55, 8))
+        steps = {
+            "key changed": (DataRequest("read", 1), BitString(0x55, 8), other_key, "key"),
+            "stored data wrong": (DataRequest("read", 1), BitString(0x54, 8), key, "read"),
+            "fresh id non-zero": (DataRequest("read", 2), BitString(1, 8), key, "read"),
+            "fresh id nothing": (DataRequest("read", 2), None, key, "read"),
+        }
+        dr, returned, key_after, kind = steps[case]
+        trace = [TraceStep(write, None, key, key), TraceStep(dr, returned, key, key_after)]
+        report = check_minimal_soundness(trace)
+        assert [(i, k) for i, k, _ in report.violations] == [(1, kind)]
+        assert report.steps == 2 and not report.ok
+
     def _flip_block_bit(self, client, server, target_id, flip_tag: bool):
         # locate the target's block on its mapped path and flip one bit
         leaf = client.position_map[target_id]
         for idx in server.path_nodes(leaf):
             bucket = server.nodes[idx]
             for j, block in enumerate(bucket):
-                msg = client.skes.dec(client.key, block)
+                msg = client.scheme.dec(client.key, block)
                 if msg.take(client.params.n_tag).value == target_id:
                     if flip_tag:
                         mask = BitString(1 << (msg.width - 1), msg.width)

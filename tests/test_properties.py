@@ -62,7 +62,7 @@ def stored_tags(client, server) -> list[int]:
     """Tags of every non-empty block in the tree, decrypted."""
     n_tag = client.params.n_tag
     tags = (
-        client.skes.dec(client.key, block).take(n_tag).value
+        client.scheme.dec(client.key, block).take(n_tag).value
         for bucket in server.nodes for block in bucket
     )
     return [tag for tag in tags if tag]
@@ -184,7 +184,7 @@ def test_quantum_stored_views_match_rebuild(n_db, n_bkt, seed, data):
         server.digest()
         before = quantum_views(server.nodes)
         _, _, tr = qoram_access(client, server, QuantumDataRequest(op, rid, payload))
-        check_stored_views(server, quantum_views, before, tr.leaf, tr.down_digests, tr.up_digests)
+        check_stored_views(server, quantum_views, before, tr.leaf, tr.down, tr.up)
 
 
 # The Pauli mask and the measurement read cached index tables.  The

@@ -213,12 +213,27 @@ class TestRecovery:
             block = data.draw(st.integers(1 if p < 100 else (p - 1) // 8, p - 2))
             seed_bytes = np.min_scalar_type((1 << n_tree) - 1).itemsize * (max(positions + [predict_pos]) + 1)
             cache = TableCache(block * seed_bytes)
+        seeds_per_call = []
+        lockstep_outputs = rng._lockstep_outputs
+
+        def spy(powers, n_tag, n_tree, first, stop, horizon):
+            seeds_per_call.append(stop - first)
+            return lockstep_outputs(powers, n_tag, n_tree, first, stop, horizon)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rng, "_TABLES", cache)
+            mp.setattr(rng, "_lockstep_outputs", spy)
             got = bm_recover_state(p, g, n_tag, n_tree, positions, expected, predict_pos)
         assert got == lockstep_recover(p, g, n_tag, n_tree, positions, expected, predict_pos)
         # the lockstep branch may keep the power table, never an output table
         assert any(key[0] is rng._output_table for key in cache.tables) == (branch == "table")
+        # building the table computes all p - 1 seeds in one call; the
+        # lockstep branch computes blocks of fewer seeds, and at least one
+        blocks = [n for n in seeds_per_call if n < p - 1]
+        if branch == "table":
+            assert seeds_per_call == [p - 1] and len(blocks) == 0
+        else:
+            assert len(blocks) >= 1 and blocks == seeds_per_call
         if mode == "true" or (mode == "last-wins" and len(expected) == len(positions)):
             assert got[0] > 0
 
