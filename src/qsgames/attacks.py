@@ -11,9 +11,8 @@ from __future__ import annotations
 from .bits import BitString
 from .games import QindChallenge
 from .oram import DataRequest
-from .qoram import QuantumDataRequest
 from .quantum import DensityMatrix, StateVector, apply_gate, measure_computational
-from .rng import Rand, bm_recover_state
+from .rng import Rand, _check_group, bm_recover_state
 from .schemes import BOT, Cca1SepScheme, Ciphertext
 
 
@@ -141,50 +140,84 @@ class HadamardDistinguisher:
 
 
 # ---------------------------------------------------------------------------
-# generator-prediction attack on the tree ORAM
+# access-pattern adversaries
 # ---------------------------------------------------------------------------
 
 
-class BmOramAttack:
-    """Recover the position-map generator state from observed leaves.
+class AccessPatternAdversary:
+    """The moves every access-pattern adversary shares.
 
-    Issues k repeated writes to one id, reads the leaf history off the
-    transcripts, brute-forces the generator seed consistent with the
-    truncated outputs, and predicts the leaf the challenge access will
-    reveal if it touches that id.  A post-challenge sanity query guards
-    against wrong predictions; on any failure the attack answers with a
-    fair coin rather than aborting.
+    Phase 1 writes the zero data to the target id k times and keeps, in
+    `leaves`, the leaf each view reveals; the challenge writes the same
+    data to the target id or to the other one.  A subclass supplies
+    `phase2_request`, which sets `answer`, and, against the quantum
+    ORAM, its own `zero_data` and `leaf`: the defaults read the
+    classical ORAM's access patterns.
     """
 
-    def __init__(self, k_queries: int, p: int, g: int, target_id: int = 1, other_id: int = 2,
-                 data: BitString | None = None):
+    target_id = 1
+    other_id = 2
+
+    def __init__(self, k_queries: int):
+        if k_queries < 0:
+            raise ValueError(f"k (the number of learning queries) must be at least 0, got {k_queries}")
         self.k = k_queries
-        self.p = p
-        self.g = g
-        self.target_id = target_id
-        self.other_id = other_id
-        self.data = data
+
+    @staticmethod
+    def zero_data(params):
+        return BitString.zeros(params.n_dat)
+
+    @staticmethod
+    def leaf(view) -> int:
+        return view.transcript.leaf
 
     def begin(self, rand: Rand, params) -> None:
         self.params = params
-        self.data = self.data if self.data is not None else BitString.zeros(params.n_dat)
+        self.data = self.zero_data(params)
         self.leaves: list[int] = []
-        self.issued = 0
-        self.prediction = -1
-        self.guess_bit: int | None = None
-        self.sanity_state = "pending"
         self.answer: int | None = None
         self._rand = rand
 
-    # -- learning phase: k writes to the target id --------------------------
-
     def phase1_request(self, view):
+        # every request issued so far has delivered its view first
         if view is not None and len(self.leaves) < self.k:
-            self.leaves.append(view.transcript.leaf)
-        if self.issued < self.k:
-            self.issued += 1
+            self.leaves.append(self.leaf(view))
+        if len(self.leaves) < self.k:
             return DataRequest("write", self.target_id, self.data)
         return None
+
+    def challenge(self):
+        return (
+            DataRequest("write", self.target_id, self.data),
+            DataRequest("write", self.other_id, self.data),
+        )
+
+    def output(self) -> int:
+        return self.answer
+
+
+class BmOramAttack(AccessPatternAdversary):
+    """Recover the position-map generator state from observed leaves.
+
+    Reads the leaf history of the k learning writes, brute-forces the
+    generator seed consistent with the truncated outputs, and predicts
+    the leaf the challenge access will reveal if it touches the target
+    id.  A post-challenge sanity query guards against wrong
+    predictions; on any failure the attack answers with a fair coin
+    rather than aborting.
+    """
+
+    def __init__(self, k_queries: int, p: int, g: int, target_id: int = 1):
+        super().__init__(k_queries)
+        _check_group(p, g)
+        self.p = p
+        self.g = g
+        self.target_id = target_id
+
+    def begin(self, rand: Rand, params) -> None:
+        super().begin(rand, params)
+        self.prediction = -1
+        self.guess_bit: int | None = None
 
     def challenge(self):
         if self.k > 0:
@@ -194,85 +227,44 @@ class BmOramAttack:
                 self.p, self.g, self.params.n_tag, self.params.n_tree,
                 positions, self.leaves, n_db + self.k - 1,
             )
-        return (
-            DataRequest("write", self.target_id, self.data),
-            DataRequest("write", self.other_id, self.data),
-        )
+        return super().challenge()
 
     # -- challenge view, then one sanity query ------------------------------
 
     def phase2_request(self, view):
-        if self.sanity_state == "pending":
-            if self.prediction < 0:
-                # no consistent seed: degrade to guessing, skip the check
-                self.answer = self._rand.coin()
-                self.sanity_state = "done"
-                return None
-            self.guess_bit = 0 if view.transcript.leaf == self.prediction else 1
-            self.sanity_state = "checking"
+        if self.answer is not None:
+            return None
+        if self.prediction < 0:
+            # no consistent seed: degrade to guessing, skip the check
+            self.answer = self._rand.coin()
+        elif self.guess_bit is None:
+            # the challenge view: guess, then probe the id it says was not touched
+            self.guess_bit = 0 if self.leaf(view) == self.prediction else 1
             probe = self.target_id if self.guess_bit == 1 else self.other_id
             return DataRequest("write", probe, self.data)
-        if self.sanity_state == "checking":
-            observed = view.transcript.leaf
-            if self.guess_bit == 1:
-                passed = observed == self.prediction
-            else:
-                passed = observed != self.prediction
+        else:
+            # if the guess was right, the probe hits the predicted leaf
+            # exactly when it is the target id
+            passed = (self.leaf(view) == self.prediction) == (self.guess_bit == 1)
             self.answer = self.guess_bit if passed else self._rand.coin()
-            self.sanity_state = "done"
         return None
-
-    def output(self) -> int:
-        return self.answer
 
 
 def bm_oram_attack(k_queries: int, p: int, g: int, **kw) -> BmOramAttack:
     return BmOramAttack(k_queries, p, g, **kw)
 
 
-class LeafFrequencyDistinguisher:
-    """Baseline access-pattern adversary: repeatedly touches one id and
-    guesses the challenge by matching its most recent leaf observation.
-    Null against any unpredictable position-map generator."""
-
-    def __init__(self, k_queries: int = 8, target_id: int = 1, other_id: int = 2,
-                 data: BitString | None = None):
-        self.k = k_queries
-        self.target_id = target_id
-        self.other_id = other_id
-        self.data = data
-
-    def begin(self, rand: Rand, params) -> None:
-        self.params = params
-        self.data = self.data if self.data is not None else BitString.zeros(params.n_dat)
-        self.leaves: list[int] = []
-        self.issued = 0
-        self.answer = None
-        self._rand = rand
-
-    def phase1_request(self, view):
-        if view is not None and len(self.leaves) < self.k:
-            self.leaves.append(view.transcript.leaf)
-        if self.issued < self.k:
-            self.issued += 1
-            return DataRequest("write", self.target_id, self.data)
-        return None
-
-    def challenge(self):
-        return (
-            DataRequest("write", self.target_id, self.data),
-            DataRequest("write", self.other_id, self.data),
-        )
+class LeafFrequencyDistinguisher(AccessPatternAdversary):
+    """Baseline access-pattern adversary: guesses the challenge by
+    matching its leaf against the last one phase 1 saw.  Null against
+    any unpredictable position-map generator."""
 
     def phase2_request(self, view):
         if self.answer is None:
             # first phase-2 call carries the challenge view
-            matched = bool(self.leaves) and view.transcript.leaf == self.leaves[-1]
+            matched = bool(self.leaves) and self.leaf(view) == self.leaves[-1]
             self.answer = 0 if matched else self._rand.coin()
         return None
-
-    def output(self) -> int:
-        return self.answer
 
 
 # ---------------------------------------------------------------------------
@@ -280,68 +272,37 @@ class LeafFrequencyDistinguisher:
 # ---------------------------------------------------------------------------
 
 
-class TagOnlyQapDistinguisher:
-    """Challenge arms touch different ids with equal payloads; guesses
-    from the challenge leaf against remembered leaf observations."""
-
-    def __init__(self, k_queries: int = 4, id0: int = 1, id1: int = 2):
-        self.k = k_queries
-        self.id0 = id0
-        self.id1 = id1
-
-    def begin(self, rand: Rand, params) -> None:
-        self.params = params
-        self.payload = DensityMatrix.basis(params.n_dat, 0)
-        self.issued = 0
-        self.last_leaf = None
-        self.answer = None
-        self._rand = rand
-
-    def phase1_request(self, view):
-        if view is not None:
-            self.last_leaf = view["post"]["leaf"]
-        if self.issued < self.k:
-            self.issued += 1
-            return QuantumDataRequest("write", self.id0, self.payload)
-        return None
-
-    def challenge(self):
-        return (
-            QuantumDataRequest("write", self.id0, self.payload),
-            QuantumDataRequest("write", self.id1, self.payload),
-        )
-
-    def phase2_request(self, view):
-        if self.answer is None:
-            leaf = view["post"]["leaf"]
-            self.answer = 0 if leaf == self.last_leaf else self._rand.coin()
-        return None
-
-    def output(self) -> int:
-        return self.answer
+def _zero_register(params) -> DensityMatrix:
+    return DensityMatrix.basis(params.n_dat, 0)
 
 
-class PayloadOnlyQapDistinguisher:
+class TagOnlyQapDistinguisher(LeafFrequencyDistinguisher):
+    """The leaf-matching guess against the quantum tree ORAM: the
+    challenge arms touch different ids with equal payloads."""
+
+    zero_data = staticmethod(_zero_register)
+
+    @staticmethod
+    def leaf(view) -> int:
+        return view["post"]["leaf"]
+
+
+class PayloadOnlyQapDistinguisher(AccessPatternAdversary):
     """Challenge arms share the id but carry orthogonal payloads; the
     guess is scraped from ciphertext digests, which carry no usable
     signal under fresh pads."""
 
-    def __init__(self, target_id: int = 1):
-        self.target_id = target_id
+    zero_data = staticmethod(_zero_register)
 
-    def begin(self, rand: Rand, params) -> None:
-        self.params = params
-        self.zero = DensityMatrix.basis(params.n_dat, 0)
-        self.one = DensityMatrix.basis(params.n_dat, (1 << params.n_dat) - 1)
-        self.answer = None
-
-    def phase1_request(self, view):
-        return None
+    def __init__(self):
+        super().__init__(0)
 
     def challenge(self):
+        n_dat = self.params.n_dat
+        one = DensityMatrix.basis(n_dat, (1 << n_dat) - 1)
         return (
-            QuantumDataRequest("write", self.target_id, self.zero),
-            QuantumDataRequest("write", self.target_id, self.one),
+            DataRequest("write", self.target_id, self.data),
+            DataRequest("write", self.target_id, one),
         )
 
     def phase2_request(self, view):
@@ -349,6 +310,3 @@ class PayloadOnlyQapDistinguisher:
             digest = view["post"]["up"][0]
             self.answer = int(digest, 16) & 1
         return None
-
-    def output(self) -> int:
-        return self.answer

@@ -171,27 +171,19 @@ def _two_ids(p):
     return p
 
 
-def _bm_factory(p):
+def _oram_factory(p, init, prng=None):
+    """Per-trial set-up of an ORAM of the row's size: `init(params, rand,
+    prng=...)`, where `prng(p, rand)`, if given, draws the position-map
+    generator from the trial's randomness first."""
     def factory(rand: Rand):
         params = OramParams(n_db=p["n_db"], n_dat=p["n_dat"])
-        prng = BlumMicaliPrng(p["p"], p["g"], rand.integer(1, p["p"]))
-        return oram_init(params, rand, prng=prng)
+        return init(params, rand, prng=prng(p, rand) if prng else None)
 
     return factory
 
 
-def _secure_factory(p):
-    def factory(rand: Rand):
-        return oram_init(OramParams(n_db=p["n_db"], n_dat=p["n_dat"]), rand)
-
-    return factory
-
-
-def _qoram_factory(p):
-    def factory(rand: Rand):
-        return qoram_init(OramParams(n_db=p["n_db"], n_dat=p["n_dat"]), rand)
-
-    return factory
+def _bm_prng(p, rand: Rand) -> BlumMicaliPrng:
+    return BlumMicaliPrng(p["p"], p["g"], rand.integer(1, p["p"]))
 
 
 def _random_forgery(p):
@@ -328,7 +320,7 @@ CATALOG = (
         "a predictable position-map generator breaks access-pattern privacy",
         {"p": DEFAULT_BM_P, "g": DEFAULT_BM_G, "k": 16, "n_db": 16, "n_dat": 8,
          "trials": 200, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ap_ind_cqa, _bm_factory(_two_ids(p)),
+        lambda p: partial(games.game_ap_ind_cqa, _oram_factory(_two_ids(p), oram_init, _bm_prng),
                           attacks.bm_oram_attack(p["k"], p["p"], p["g"]), q1_max=p["k"] + 2),
         lambda result, params: result.successes / result.trials >= 0.95,
         "wins at least 95% of trials",
@@ -339,7 +331,7 @@ CATALOG = (
         "hardening the generator restores access-pattern privacy",
         {"p": DEFAULT_BM_P, "g": DEFAULT_BM_G, "k": 16, "n_db": 16, "n_dat": 8,
          "trials": 1000, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ap_ind_cqa, _secure_factory(_two_ids(p)),
+        lambda p: partial(games.game_ap_ind_cqa, _oram_factory(_two_ids(p), oram_init),
                           attacks.bm_oram_attack(p["k"], p["p"], p["g"]), q1_max=p["k"] + 2),
         _null_band, _NULL,
     ),
@@ -348,7 +340,7 @@ CATALOG = (
         "leaf-matching distinguisher against the hardened ORAM",
         "announced leaves are fresh uniform values, so matching them is guessing",
         {"k": 8, "n_db": 16, "n_dat": 8, "trials": 1000, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ap_ind_cqa, _secure_factory(_two_ids(p)),
+        lambda p: partial(games.game_ap_ind_cqa, _oram_factory(_two_ids(p), oram_init),
                           attacks.LeafFrequencyDistinguisher(k_queries=p["k"]), q1_max=p["k"] + 2),
         _null_band, _NULL,
     ),
@@ -357,7 +349,7 @@ CATALOG = (
         "different ids, equal payloads, against the quantum tree ORAM",
         "which id an access touches stays hidden",
         {"n_db": 2, "n_dat": 1, "k": 4, "trials": 500, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_qap_ind_cqa, _qoram_factory(_two_ids(p)),
+        lambda p: partial(games.game_qap_ind_cqa, _oram_factory(_two_ids(p), qoram_init),
                           attacks.TagOnlyQapDistinguisher(k_queries=p["k"])),
         _null_band, _NULL,
     ),
@@ -366,7 +358,7 @@ CATALOG = (
         "same id, orthogonal payload states, against the quantum tree ORAM",
         "fresh pads make ciphertext registers carry no payload signal",
         {"n_db": 2, "n_dat": 1, "trials": 500, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_qap_ind_cqa, _qoram_factory(p),
+        lambda p: partial(games.game_qap_ind_cqa, _oram_factory(p, qoram_init),
                           attacks.PayloadOnlyQapDistinguisher()),
         _null_band, _NULL,
     ),

@@ -37,9 +37,13 @@ class ProtocolAbort(Exception):
 
 @dataclass(frozen=True)
 class DataRequest:
+    """A read or write of one id, for either ORAM: `data` is a BitString
+    for the classical one, a DensityMatrix register for the quantum one,
+    and None on reads."""
+
     op: str
     id: int
-    data: BitString | None = None
+    data: object = None
 
     def __post_init__(self):
         if self.op not in ("read", "write"):
@@ -57,6 +61,8 @@ class OramParams:
     key_bits: int = 16
 
     def __post_init__(self):
+        if self.n_db < 1:
+            raise ValueError(f"n_db must be at least 1, got {self.n_db}")
         self.n_max = self.n_db if self.n_max is None else self.n_max
         if self.n_db > self.n_max:
             raise ValueError("n_db exceeds n_max")

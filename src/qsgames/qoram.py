@@ -8,8 +8,9 @@ are the same primitive: a swap between the client's payload register
 and the block's data register.  Qubit count is conserved; nothing is
 ever copied.
 
-The client, its set-up and the access protocol are oram's
-(ClientState, tree_init, tree_access); this module supplies the block
+The client, its set-up, the access protocol and the request type are
+oram's (ClientState, tree_init, tree_access, DataRequest, whose data is
+the payload register here); this module supplies the block
 format (QuantumCodec), the swap step and the safe extractor.  The
 transcript is oram.Transcript, its down/up views block digests.
 
@@ -31,23 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString
-from .oram import ClientState, OramParams, ServerDB, Transcript, tree_access, tree_init
+from .oram import ClientState, DataRequest, OramParams, ServerDB, Transcript, tree_access, tree_init
 from .qscheme import QCiphertext, Skqes1Scheme
 from .quantum import DensityMatrix, measure_computational, partial_trace
 from .rng import Rand
 
 
-@dataclass(frozen=True)
-class QuantumDataRequest:
-    op: str
-    id: int
-    payload: DensityMatrix | None = None  # None plays the bottom marker on reads
-
-    def __post_init__(self):
-        if self.op not in ("read", "write"):
-            raise ValueError(f"unknown op {self.op!r}")
-        if self.op == "write" and self.payload is None:
-            raise ValueError("write requires a payload state")
+# the one request type; the old name stays importable
+QuantumDataRequest = DataRequest
 
 
 @dataclass
@@ -109,13 +101,13 @@ def qoram_init(params: OramParams, rand: Rand, prng=None):
     return tree_init(params, rand, Skqes1Scheme(params.n_msg), QuantumCodec, prng)
 
 
-def qoram_access(client: ClientState, server: ServerDB, qdr: QuantumDataRequest):
+def qoram_access(client: ClientState, server: ServerDB, qdr: DataRequest):
     """One access: tag-measure each branch block, swap payloads on match,
     re-encrypt fresh, evict, upload.  Returns (client, server, Transcript),
     the transcript's down/up views being block digests.
     """
     params = client.params
-    payload = qdr.payload if qdr.payload is not None else _zero_data(params)
+    payload = qdr.data if qdr.data is not None else _zero_data(params)
     if payload.n_qubits != params.n_dat:
         raise ValueError("payload register width mismatch")
 

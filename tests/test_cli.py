@@ -173,6 +173,24 @@ class TestRunCli:
         # one id is all the payload adversary touches: it runs to a verdict
         assert cli.main(["--experiment", "qap-payload-null", "--trials", "2", "--param", "n_db=1"]) in (0, 1)
 
+    def test_payload_adversary_needs_one_block(self, capsys):
+        assert cli.main(["--experiment", "qap-payload-null", "--trials", "2", "--param", "n_db=0"]) == 2
+        assert "n_db must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_negative_query_count_is_a_parameter_error(self, capsys):
+        for name, k in (("leaf-frequency-null", -1), ("qap-tag-null", -3), ("bm-oram-null", -1)):
+            assert cli.main(["--experiment", name, "--trials", "2", "--param", f"k={k}"]) == 2
+            err = capsys.readouterr().err
+            assert "k (the number of learning queries)" in err and f"got {k}" in err
+        # no learning queries at all is the adversary that can only guess
+        assert cli.main(["--experiment", "bm-oram-null", "--trials", "2", "--param", "k=0"]) in (0, 1)
+
+    def test_generator_group_is_checked_against_the_hardened_oram_too(self, capsys):
+        # bm-oram-null never builds the generator, only its adversary does
+        for param in ("p=4", "g=1"):
+            assert cli.main(["--experiment", "bm-oram-null", "--trials", "2", "--param", param]) == 2
+            assert param in capsys.readouterr().err
+
     def test_prp_without_randomness_is_a_parameter_error(self, capsys):
         for name in ("hadamard-prp-bound", "cca2-flip-null"):
             assert cli.main(["--experiment", name, "--trials", "2", "--param", "r_bits=0"]) == 2
