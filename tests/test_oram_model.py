@@ -1,0 +1,123 @@
+"""The classical tree ORAM against its frozen reference, step by step.
+
+A derandomized Hypothesis state machine sets up qsgames.oram and
+tests/oram_reference.py from equal seeds, then drives both with the
+same writes, reads and tampering of stored blocks.  After every step
+the two must agree on the tree, the stash, the last read, whether the
+access aborted, and the state of the client's generator; so a change
+to the ORAM's hot path must keep every draw and every byte.  Until the
+tree is tampered with, a read must also return the last write.
+
+Model-based testing as in QuickCheck (Claessen and Hughes, ICFP 2000);
+the protocol is Path ORAM (Stefanov et al., arXiv:1202.5150).
+"""
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+import oram_reference as ref
+from qsgames.bits import BitString
+from qsgames.oram import DataRequest, OramParams, ProtocolAbort, oram_access, oram_init
+from qsgames.rng import Rand
+from qsgames.schemes import Ciphertext
+
+index = st.integers(0, 1 << 16)
+
+
+class ClassicalOramModel(RuleBasedStateMachine):
+    @initialize(n_db=st.integers(1, 9), n_dat=st.integers(1, 4), n_bkt=st.integers(1, 3),
+                seed=st.integers(0, 1 << 16))
+    def set_up(self, n_db, n_dat, n_bkt, seed):
+        params = OramParams(n_db=n_db, n_dat=n_dat, n_bkt=n_bkt)
+        self.client, self.server = oram_init(params, Rand(seed))
+        self.ref_client, self.ref_server = ref.reference_init(n_db, n_dat, n_bkt, Rand(seed))
+        self.n_db, self.n_dat = n_db, n_dat
+        self.shadow = {}
+        self.tampered = False
+
+    # -- accesses -------------------------------------------------------------
+
+    def access(self, op, rid, data=None):
+        try:
+            _, _, pattern = oram_access(self.client, self.server, DataRequest(op, rid, data))
+            got = (pattern.transcript.leaf, pattern.transcript.down, pattern.transcript.up)
+        except ProtocolAbort:
+            got = "abort"
+        try:
+            want = ref.reference_access(self.ref_client, self.ref_server, op, rid, data)
+        except ref.ReferenceAbort:
+            want = "abort"
+        assert got == want
+        return got != "abort"
+
+    @rule(raw_id=index, value=index)
+    def write(self, raw_id, value):
+        rid, data = 1 + raw_id % self.n_db, BitString(value % (1 << self.n_dat), self.n_dat)
+        if self.access("write", rid, data):
+            self.shadow[rid] = data
+
+    @rule(raw_id=index)
+    def read(self, raw_id):
+        rid = 1 + raw_id % self.n_db
+        if self.access("read", rid) and not self.tampered:
+            assert self.client.last_read == self.shadow.get(rid, BitString.zeros(self.n_dat))
+
+    # -- tampering, applied to both trees alike ---------------------------------
+
+    def slot(self, raw):
+        return divmod(raw % (len(self.server.nodes) * self.server.n_bkt), self.server.n_bkt)
+
+    def tamper(self, edit):
+        """Apply edit(buckets) to each tree's buckets, as lists, and store them back."""
+        library = [list(bucket) for bucket in self.server.nodes]
+        edit(library)
+        for idx, bucket in enumerate(library):
+            self.server.store(idx, tuple(bucket), self.client.codec.view(bucket))
+        reference = [list(bucket) for bucket in self.ref_server.nodes]
+        edit(reference)
+        self.ref_server.nodes = [tuple(bucket) for bucket in reference]
+        self.tampered = True
+
+    @rule(raw=index, bit=index)
+    def flip_body_bit(self, raw, bit):
+        node, slot = self.slot(raw)
+
+        def flip(buckets):
+            c = buckets[node][slot]
+            mask = BitString(1 << bit % c.body.width, c.body.width)
+            buckets[node][slot] = Ciphertext(c.scheme, c.body ^ mask, c.r)
+        self.tamper(flip)
+
+    @rule(raw=index, r=st.integers(0, (1 << 32) - 1))
+    def change_r(self, raw, r):
+        node, slot = self.slot(raw)
+
+        def change(buckets):
+            c = buckets[node][slot]
+            buckets[node][slot] = Ciphertext(c.scheme, c.body, BitString(r, 32))
+        self.tamper(change)
+
+    @rule(raw_a=index, raw_b=index)
+    def swap_blocks(self, raw_a, raw_b):
+        (na, sa), (nb, sb) = self.slot(raw_a), self.slot(raw_b)
+
+        def swap(buckets):
+            buckets[na][sa], buckets[nb][sb] = buckets[nb][sb], buckets[na][sa]
+        self.tamper(swap)
+
+    # -- after every step --------------------------------------------------------
+
+    @invariant()
+    def agrees_with_reference(self):
+        client, other = self.client, self.ref_client
+        assert list(self.server.views) == self.ref_server.views()
+        assert [(t, d.value) for t, d in client.stash] == [(t, d.value) for t, d in other.stash]
+        assert client.last_read == other.last_read
+        assert client.position_map == other.position_map
+        assert client.rand.numpy().bit_generator.state == other.rand.numpy().bit_generator.state
+
+
+TestClassicalOramModel = ClassicalOramModel.TestCase
+TestClassicalOramModel.settings = settings(max_examples=40, stateful_step_count=25, deadline=None,
+                                           derandomize=True, database=None)
