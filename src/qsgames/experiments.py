@@ -56,6 +56,10 @@ class ExperimentDef:
         if unknown:
             raise ValueError(f"unknown parameter(s) {', '.join(unknown)}; "
                              f"{self.name} takes {', '.join(sorted(self.defaults))}")
+        for key, value in overrides.items():  # exact types: a bool is not an int
+            if type(value) is not type(self.defaults[key]):
+                raise ValueError(f"{key}={value!r} has type {type(value).__name__}, but its default "
+                                 f"{self.defaults[key]!r} has type {type(self.defaults[key]).__name__}")
         params = {**self.defaults, **overrides}
         default_trials, default_seed = params.pop("trials"), params.pop("seed")
         trials = int(default_trials) if trials is None else trials

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,17 +54,7 @@ class ExperimentResult:
     runtime_ms: float = 0.0
 
     def to_json(self) -> str:
-        payload = {
-            "game": self.game,
-            "params": self.params,
-            "trials": self.trials,
-            "successes": self.successes,
-            "advantage": self.advantage,
-            "ci95": self.ci95,
-            "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _ci95(successes: int, trials: int) -> float:

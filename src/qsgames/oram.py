@@ -12,8 +12,14 @@ One client type, one set-up path (tree_init) and one access protocol
 (tree_access) serve both ORAMs.  The client holds its scheme and a
 block codec built once at set-up: SkesCodec here (GoldreichScheme
 ciphertexts, via oram_init), qoram.QuantumCodec for the quantum
-variant.  The position-map generator is pluggable, and its choice is
-exactly what the separation experiments attack.
+variant.  A codec decodes a downloaded path in one call and encodes a
+re-encrypted path (or, at set-up, the whole tree) in one call, in the
+order the blocks' randomness is drawn: root to leaf, each bucket's
+records before its empties.  SkesCodec draws a path's randomness in
+one batch and keeps the pad F_k(r) of every block it encodes, keyed by
+r, so decoding a block it stored costs no PRF evaluation.  The
+position-map generator is pluggable, and its choice is exactly what
+the separation experiments attack.
 
 The server computes each bucket's view (what an observer of the
 server sees of it) once, when the bucket is stored.  Snapshots, the
@@ -26,7 +32,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .bits import BitString
+from .bits import BitString, _unchecked
+from .prf import make_prf
 from .rng import CounterPrfPrng, Rand
 from .schemes import Ciphertext, GoldreichScheme
 
@@ -94,16 +101,16 @@ class ServerDB:
         self.views[idx] = view
         self._digest = None
 
+    def store_path(self, path, blocks: list, view) -> None:
+        """Store blocks, n_bkt to a bucket, at the nodes of path in order;
+        view(bucket) gives each bucket's view."""
+        for i, idx in enumerate(path):
+            bucket = tuple(blocks[i * self.n_bkt:(i + 1) * self.n_bkt])
+            self.store(idx, bucket, view(bucket))
+
     def path_nodes(self, leaf: int) -> list[int]:
         """Heap indices from the root down to the given leaf."""
-        idx = (1 << self.n_tree) - 1 + leaf
-        path = []
-        while True:
-            path.append(idx)
-            if idx == 0:
-                break
-            idx = (idx - 1) // 2
-        return path[::-1]
+        return [(1 << d) - 1 + (leaf >> (self.n_tree - d)) for d in range(self.n_tree + 1)]
 
     def path_view(self, path: list[int]) -> tuple:
         """The stored block views along a path, in path order."""
@@ -143,9 +150,8 @@ class AccessPattern:
     post_db: tuple
 
     def to_json(self) -> str:
-        def hex_block(pair):
-            body, r = pair
-            return format(body, "x") + ":" + format(r, "x")
+        def hex_block(pair):  # (body, r)
+            return "%x:%x" % pair
 
         return json.dumps(
             {
@@ -174,32 +180,52 @@ class ClientState:
     leaf_log: list = field(default_factory=list)  # truncated values consumed, white-box
 
     def fresh_leaf(self) -> int:
-        value = self.prng.next_value(self.params.n_tag).value
-        leaf = value & ((1 << self.params.n_tree) - 1)
+        leaf = self.prng.next_value(self.params.n_tag).value & ((1 << self.params.n_tree) - 1)
         self.leaf_log.append(leaf)
         return leaf
 
 
 class SkesCodec:
-    """Blocks as SKES ciphertexts of the bit string (tag || data)."""
+    """Blocks as GoldreichScheme ciphertexts (m xor F_k(r), r) of the
+    message (tag << n_dat) | data.  The pad memo holds one entry per
+    block encoded and not yet decoded; a pad is a pure function of
+    (key, r), so a miss (a tampered block, a repeated r) recomputes it.
+    """
 
     def __init__(self, params: OramParams, scheme, key, rand: Rand):
+        if scheme.r_bits != 32:
+            raise ValueError(f"SkesCodec draws 32-bit randomness, got r_bits={scheme.r_bits}")
         self._params = params
-        self._scheme = scheme
-        self._key = key
+        self._name = scheme.name
+        self._prf = make_prf(key, scheme.r_bits, scheme.msg_bits)
         self._rand = rand
-        self._zero_msg = BitString.zeros(params.n_msg)
+        self._pads: dict[int, int] = {}
 
-    def encode(self, tag: int, data: BitString) -> Ciphertext:
-        msg = BitString(tag, self._params.n_tag).concat(data)
-        return self._scheme.enc(self._key, msg, rand=self._rand)
+    def encode_path(self, records: list) -> list:
+        """One block per entry: a [tag, data] record, or None for an empty."""
+        n_dat, n_msg, prf, pads = self._params.n_dat, self._params.n_msg, self._prf, self._pads
+        blocks = []
+        for rec, r in zip(records, self._rand.numpy().integers(0, 1 << 32, size=len(records)).tolist()):
+            r_bits = _unchecked(r, 32)
+            pad = pads[r] = prf.eval(r_bits).value
+            msg = 0 if rec is None else (rec[0] << n_dat) | rec[1].value
+            blocks.append(Ciphertext(self._name, _unchecked(msg ^ pad, n_msg), r=r_bits))
+        return blocks
 
-    def empty(self) -> Ciphertext:
-        return self._scheme.enc(self._key, self._zero_msg, rand=self._rand)
-
-    def decode(self, block: Ciphertext):
-        msg = self._scheme.dec(self._key, block)
-        return msg.take(self._params.n_tag).value, msg.drop(self._params.n_tag)
+    def decode_path(self, blocks) -> list:
+        """The [tag, data] records of the blocks in order, empties left
+        out; ProtocolAbort at the first tag above n_db."""
+        n_db, n_dat, prf, pads = self._params.n_db, self._params.n_dat, self._prf, self._pads
+        records = []
+        for block in blocks:
+            pad = pads.pop(block.r.value, None)
+            msg = block.body.value ^ (prf.eval(block.r).value if pad is None else pad)
+            tag = msg >> n_dat
+            if tag > n_db:
+                raise ProtocolAbort(f"block decodes to invalid tag {tag}")
+            if tag:
+                records.append([tag, _unchecked(msg & ((1 << n_dat) - 1), n_dat)])
+        return records
 
     @staticmethod
     def view(blocks) -> tuple:
@@ -217,20 +243,15 @@ def tree_init(params: OramParams, rand: Rand, scheme, codec_cls, prng=None):
     codec = codec_cls(params, scheme, key, client_rand)
     client = ClientState(params, key, {}, prng, client_rand, scheme, codec)
     server = ServerDB(params.n_tree, params.n_bkt)
-    for i in range(1, params.n_db + 1):
-        client.position_map[i] = client.fresh_leaf()
-    for idx in range(server.node_count):
-        bucket = tuple(codec.empty() for _ in range(server.n_bkt))
-        server.store(idx, bucket, codec.view(bucket))
+    client.position_map = {i: client.fresh_leaf() for i in range(1, params.n_db + 1)}
+    server.store_path(range(server.node_count), codec.encode_path([None] * server.node_count * server.n_bkt),
+                      codec.view)
     return client, server
 
 
 def _common_depth(a: int, b: int, n_tree: int) -> int:
     """Number of leading path bits shared by two leaves."""
-    for d in range(n_tree, -1, -1):
-        if (a >> (n_tree - d)) == (b >> (n_tree - d)):
-            return d
-    return 0
+    return n_tree - (a ^ b).bit_length()
 
 
 def tree_access(client: ClientState, server: ServerDB, rid: int, step):
@@ -251,45 +272,26 @@ def tree_access(client: ClientState, server: ServerDB, rid: int, step):
     client.position_map[rid] = client.fresh_leaf()
 
     # decode the branch leaf-to-root, slots ascending (eviction order)
-    records: list[list] = []
-    for idx in reversed(path):
-        for block in server.nodes[idx]:
-            tag, data = codec.decode(block)
-            if tag > params.n_db:
-                raise ProtocolAbort(f"block decodes to invalid tag {tag}")
-            if tag != 0:
-                records.append([tag, data])
+    records = codec.decode_path([block for idx in reversed(path) for block in server.nodes[idx]])
 
-    target = next((rec for rec in records if rec[0] == rid), None)
-    if target is None:
-        target = next((rec for rec in client.stash if rec[0] == rid), None)
+    target = next((rec for rec in records + client.stash if rec[0] == rid), None)
     new_record = step(target)
     if new_record is not None:
         records.append(new_record)
 
-    # eviction: branch records first, then the stash re-examination
-    queue = records + client.stash
-    capacity = {idx: params.n_bkt for idx in path}
+    # eviction: branch records first, then the stash re-examination; each
+    # goes to the deepest bucket with room on both its path and this one
     placed: dict[int, list] = {idx: [] for idx in path}
     new_stash = []
-    for rec in queue:
+    for rec in records + client.stash:
         depth = _common_depth(leaf, client.position_map[rec[0]], params.n_tree)
-        node = None
-        for d in range(depth, -1, -1):
-            if capacity[path[d]] > 0:
-                node = path[d]
-                break
-        if node is None:
-            new_stash.append(rec)
-        else:
-            capacity[node] -= 1
-            placed[node].append(rec)
+        node = next((path[d] for d in range(depth, -1, -1) if len(placed[path[d]]) < params.n_bkt), None)
+        (new_stash if node is None else placed[node]).append(rec)
     client.stash = new_stash
 
-    for idx in path:
-        bucket = tuple(codec.encode(tag, data) for tag, data in placed[idx])
-        bucket += tuple(codec.empty() for _ in range(params.n_bkt - len(bucket)))
-        server.store(idx, bucket, codec.view(bucket))
+    # re-encrypt root to leaf, each bucket's records before its empties
+    server.store_path(path, codec.encode_path(
+        [rec for idx in path for rec in placed[idx] + [None] * (params.n_bkt - len(placed[idx]))]), codec.view)
 
     return leaf, down, server.path_view(path)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString
-from .oram import ClientState, DataRequest, OramParams, ServerDB, Transcript, tree_access, tree_init
+from .oram import ClientState, DataRequest, OramParams, ProtocolAbort, ServerDB, Transcript, tree_access, tree_init
 from .qscheme import QCiphertext, Skqes1Scheme
 from .quantum import DensityMatrix, measure_computational, partial_trace
 from .rng import Rand
@@ -58,10 +58,6 @@ class QuantumBlock:
         return h.hexdigest()
 
 
-def _zero_data(params: OramParams) -> DensityMatrix:
-    return DensityMatrix.basis(params.n_dat, 0)
-
-
 class QuantumCodec:
     """Blocks as quantum ciphertexts of (tag register || data register);
     decoding measures only the tag qubits."""
@@ -73,23 +69,29 @@ class QuantumCodec:
         self._rand = rand
         self._empty_plain = DensityMatrix.basis(params.n_msg, 0)
 
-    def encode(self, tag: int, data: DensityMatrix) -> QuantumBlock:
-        plain = DensityMatrix.basis(self._params.n_tag, tag).tensor(data)
-        return QuantumBlock(self._scheme.enc(self._key, plain, rand=self._rand))
+    def encode_path(self, records: list) -> list:
+        """One block per entry: a [tag, data register] record, or None
+        for an empty."""
+        n_tag = self._params.n_tag
+        plains = (self._empty_plain if rec is None else DensityMatrix.basis(n_tag, rec[0]).tensor(rec[1])
+                  for rec in records)
+        return [QuantumBlock(self._scheme.enc(self._key, plain, rand=self._rand)) for plain in plains]
 
-    def empty(self) -> QuantumBlock:
-        return QuantumBlock(self._scheme.enc(self._key, self._empty_plain, rand=self._rand))
-
-    def decode(self, block: QuantumBlock):
-        """(tag, data register); an empty block's data is never used, so
-        it is not traced out.  The tag is always measured, since the
-        measurement draws from the client's randomness."""
+    def decode_path(self, blocks) -> list:
+        """The [tag, data register] records of the blocks in order, empties
+        left out; ProtocolAbort at the first tag above n_db.  Every tag is
+        measured (it draws from the client's randomness); an empty block's
+        data is never used, so it is not traced out."""
         n_tag, n_msg = self._params.n_tag, self._params.n_msg
-        plain = self._scheme.dec(self._key, block.cipher)
-        tag_bits, post = measure_computational(plain, list(range(n_tag)), self._rand)
-        if tag_bits.value == 0:
-            return 0, None
-        return tag_bits.value, partial_trace(post, list(range(n_tag, n_msg)))
+        records = []
+        for block in blocks:
+            plain = self._scheme.dec(self._key, block.cipher)
+            tag_bits, post = measure_computational(plain, list(range(n_tag)), self._rand)
+            if tag_bits.value > self._params.n_db:
+                raise ProtocolAbort(f"block decodes to invalid tag {tag_bits.value}")
+            if tag_bits.value:
+                records.append([tag_bits.value, partial_trace(post, list(range(n_tag, n_msg)))])
+        return records
 
     @staticmethod
     def view(blocks) -> tuple:
@@ -107,7 +109,7 @@ def qoram_access(client: ClientState, server: ServerDB, qdr: DataRequest):
     the transcript's down/up views being block digests.
     """
     params = client.params
-    payload = qdr.data if qdr.data is not None else _zero_data(params)
+    payload = qdr.data if qdr.data is not None else DensityMatrix.basis(params.n_dat, 0)
     if payload.n_qubits != params.n_dat:
         raise ValueError("payload register width mismatch")
 
@@ -115,7 +117,7 @@ def qoram_access(client: ClientState, server: ServerDB, qdr: DataRequest):
         if target is None:
             # the id has never been stored: take over an empty block, which
             # amounts to swapping with its |0> data register
-            client.retrieved = _zero_data(params)
+            client.retrieved = DensityMatrix.basis(params.n_dat, 0)
             return [qdr.id, payload]
         target[1], client.retrieved = payload, target[1]
         return None

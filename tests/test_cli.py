@@ -191,6 +191,14 @@ class TestRunCli:
             assert cli.main(["--experiment", "bm-oram-null", "--trials", "2", "--param", param]) == 2
             assert param in capsys.readouterr().err
 
+    def test_override_of_another_type_is_a_parameter_error(self, capsys):
+        assert cli.main(["--experiment", "otp-reuse-null", "--param", "msg_bits=2.5", "--trials", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "msg_bits=2.5" in err and "default 8" in err
+        # a bool is not an int, although Python counts it as one
+        with pytest.raises(ValueError, match="msg_bits=True has type bool, but its default 8 has type int"):
+            experiments.get("otp-reuse-null").run(trials=3, overrides={"msg_bits": True})
+
     def test_prp_without_randomness_is_a_parameter_error(self, capsys):
         for name in ("hadamard-prp-bound", "cca2-flip-null"):
             assert cli.main(["--experiment", name, "--trials", "2", "--param", "r_bits=0"]) == 2

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+import oram_reference
 from qsgames.bits import BitString
 from qsgames.oram import (
     DataRequest,
     OramParams,
     SkesCodec,
     TraceStep,
+    _common_depth,
     check_minimal_soundness,
     diff_nodes,
     oram_access,
     oram_init,
     run_trace,
 )
+from qsgames.prf import IdealPrf
 from qsgames.rng import BlumMicaliPrng, Rand
 from qsgames.schemes import Ciphertext
 
@@ -85,6 +88,40 @@ class TestAccess:
         client, server = fresh()
         with pytest.raises(ValueError):
             oram_access(client, server, DataRequest("write", 1, BitString(0, 9)))
+
+    def test_request_guards(self):
+        with pytest.raises(ValueError, match="unknown op 'erase'"):
+            DataRequest("erase", 1)
+        with pytest.raises(ValueError, match="write requires data"):
+            DataRequest("write", 1)
+
+    @pytest.mark.parametrize("n_tree", range(7))
+    def test_common_depth_matches_the_scanning_loop(self, n_tree):
+        leaves = range(1 << n_tree)
+        assert all(_common_depth(a, b, n_tree) == oram_reference._common_depth(a, b, n_tree)
+                   for a in leaves for b in leaves)
+
+
+class TestCosts:
+    def test_prf_evals_per_access(self, monkeypatch):
+        # a set-up encodes all 31 buckets of 4 blocks at n_db=16, and an
+        # access re-encodes the 5 buckets of its path; decoding reuses the
+        # pads the codec computed when it encoded the blocks
+        calls = []
+        uncounted = IdealPrf.eval
+
+        def counted(prf, x):
+            calls.append(x)
+            return uncounted(prf, x)
+
+        monkeypatch.setattr(IdealPrf, "eval", counted)
+        client, server = oram_init(OramParams(n_db=16), Rand(5))
+        assert len(calls) <= 124
+        for i in range(40):
+            rid = 1 + i % 16
+            op = DataRequest("write", rid, BitString(i, 8)) if i % 2 else DataRequest("read", rid)
+            oram_access(client, server, op)
+        assert len(calls) <= 124 + 20 * 40
 
 
 class TestInvariants:
