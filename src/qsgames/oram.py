@@ -172,7 +172,7 @@ class ClientState:
     prng: object
     rand: Rand
     scheme: object
-    codec: object  # holds (params, scheme, key, rand), not the client: no reference cycle
+    codec: object  # built from (params, scheme, key, rand), not the client: no reference cycle
     stash: list = field(default_factory=list)  # [tag, data] records
     last_read: BitString | None = None  # data of the last classical read
     retrieved: object = None  # data register swapped out by the last quantum access

@@ -133,7 +133,7 @@ class GoldreichScheme:
         self.r_bits = msg_bits if r_bits is None else r_bits
         self.key_bits = msg_bits if key_bits is None else key_bits
         self.perm_bits = msg_bits
-        # an ORAM access encrypts every block of a path under one key
+        # a game encrypts and decrypts many times under one key
         self._prf = functools.lru_cache(maxsize=1)(
             functools.partial(make_prf, in_bits=self.r_bits, out_bits=self.msg_bits))
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qsgames.oram import OramParams
+from qsgames import qoram
+from qsgames.oram import OramParams, ProtocolAbort
 from qsgames.qoram import (
     QuantumDataRequest,
     qoram_access,
@@ -86,6 +87,25 @@ class TestAccess:
     def test_write_requires_payload(self):
         with pytest.raises(ValueError):
             QuantumDataRequest("write", 1, None)
+
+    def test_invalid_tag_aborts_before_the_next_measurement(self, monkeypatch):
+        # n_db=2 leaves tag 3 unused; the block decoded first (the leaf
+        # bucket's first slot) carries it, so decoding measures once
+        client, server = fresh()
+        leaf_bucket = server.path_nodes(client.position_map[1])[-1]
+        bad = client.codec.encode_path([[3, DensityMatrix.basis(1, 0)]]) + list(server.nodes[leaf_bucket][1:])
+        server.store(leaf_bucket, tuple(bad), client.codec.view(bad))
+        measured = []
+        measure = qoram.measure_computational
+
+        def counted(*args):
+            measured.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(qoram, "measure_computational", counted)
+        with pytest.raises(ProtocolAbort, match="invalid tag 3"):
+            qoram_access(client, server, QuantumDataRequest("read", 1))
+        assert len(measured) == 1
 
     def test_qubit_count_conserved(self):
         # the tree keeps node_count * n_bkt blocks of n_msg qubits, and
