@@ -82,13 +82,6 @@ class BitString:
     def ones(cls, width: int) -> "BitString":
         return cls((1 << width) - 1, width)
 
-    def to_json(self) -> dict:
-        return {"hex": self.to_hex(), "bits": self.width}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BitString":
-        return cls.from_hex(obj["hex"], obj["bits"])
-
     def __str__(self) -> str:
         return format(self.value, f"0{self.width}b")
 

@@ -179,12 +179,6 @@ class RandomOracleTable:
         self._table[key] = value
         return value
 
-    def dump(self) -> dict:
-        return {k.hex(): v for k, v in self._table.items()}
-
-    def load(self, table: dict) -> None:
-        self._table = {bytes.fromhex(k): v for k, v in table.items()}
-
 
 def semi_constant_oracle(delta: float, pinned: int, seed: int, q: int) -> RandomOracleTable:
     return RandomOracleTable(q, Rand(seed), mode="semi-constant", delta=delta, pinned=pinned)
@@ -200,9 +194,6 @@ class FsSignature:
     form: str  # "sigma" (com, resp) or "lambda" (r, resp)
     first: int
     resp: int
-
-    def to_json(self) -> dict:
-        return {"form": self.form, "first": str(self.first), "resp": str(self.resp)}
 
 
 def fs_sign(inst: HardInstance, m, oracle: RandomOracleTable, rand: Rand) -> FsSignature:

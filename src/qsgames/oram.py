@@ -10,21 +10,25 @@ up toward the root, then the stash).
 
 One client type, one set-up path (tree_init) and one access protocol
 (tree_access) serve both ORAMs.  The client holds its scheme and a
-block codec built once at set-up: SkesCodec here (GoldreichScheme
-ciphertexts, via oram_init), qoram.QuantumCodec for the quantum
-variant.  A codec decodes a downloaded path in one call and encodes a
-re-encrypted path (or, at set-up, the whole tree) in one call, in the
-order the blocks' randomness is drawn: root to leaf, each bucket's
-records before its empties.  SkesCodec draws a path's randomness in
-one batch and keeps the pad F_k(r) of every block it encodes, keyed by
-r, so decoding a block it stored costs no PRF evaluation.  The
-position-map generator is pluggable, and its choice is exactly what
-the separation experiments attack.
+block codec built once at set-up: SkesCodec here (via oram_init),
+qoram.QuantumCodec for the quantum variant.  A codec decodes a
+downloaded path in one call and encodes a re-encrypted path (or, at
+set-up, the whole tree) in one call, in the order the blocks'
+randomness is drawn: root to leaf, each bucket's records before its
+empties.  A classical block is the int pair (body, r) of a
+GoldreichScheme ciphertext, exactly what an observer of the server
+sees of it.  SkesCodec draws a path's randomness in one batch and
+keeps the pad F_k(r) of every block it encodes, keyed by r, so
+decoding a block it stored costs no PRF evaluation.  The position-map
+generator is pluggable, and its choice is exactly what the separation
+experiments attack.
 
-The server computes each bucket's view (what an observer of the
-server sees of it) once, when the bucket is stored.  Snapshots, the
-transcript's down/up views and the tree digest are read off the
-stored views, so an access costs O(path) rather than O(tree).
+The server stores each bucket's view beside it (a classical bucket is
+its own view); snapshots, the transcript's down/up views and the tree
+digest read the views alone.  Coding touches one path per access, but
+oram_access's before and after snapshots each copy the whole list of
+views, and the first digest() after a store rehashes every view, so
+both cost O(tree).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 from .bits import BitString, _unchecked
 from .prf import make_prf
 from .rng import CounterPrfPrng, Rand
-from .schemes import Ciphertext, GoldreichScheme
+from .schemes import GoldreichScheme
 
 
 class ProtocolAbort(Exception):
@@ -186,30 +190,29 @@ class ClientState:
 
 
 class SkesCodec:
-    """Blocks as GoldreichScheme ciphertexts (m xor F_k(r), r) of the
-    message (tag << n_dat) | data.  The pad memo holds one entry per
-    block encoded and not yet decoded; a pad is a pure function of
-    (key, r), so a miss (a tampered block, a repeated r) recomputes it.
+    """Blocks as GoldreichScheme ciphertexts of the message
+    (tag << n_dat) | data, stored as the int pair (body, r) with
+    body = m xor F_k(r): a block is its own view.  The pad memo holds one
+    entry per block encoded and not yet decoded; a pad is a pure function
+    of (key, r), so a miss (a tampered block, a repeated r) recomputes it.
     """
 
     def __init__(self, params: OramParams, scheme, key, rand: Rand):
         if scheme.r_bits != 32:
             raise ValueError(f"SkesCodec draws 32-bit randomness, got r_bits={scheme.r_bits}")
         self._params = params
-        self._name = scheme.name
         self._prf = make_prf(key, scheme.r_bits, scheme.msg_bits)
         self._rand = rand
         self._pads: dict[int, int] = {}
 
     def encode_path(self, records: list) -> list:
         """One block per entry: a [tag, data] record, or None for an empty."""
-        n_dat, n_msg, prf, pads = self._params.n_dat, self._params.n_msg, self._prf, self._pads
+        n_dat, prf, pads = self._params.n_dat, self._prf, self._pads
         blocks = []
         for rec, r in zip(records, self._rand.numpy().integers(0, 1 << 32, size=len(records)).tolist()):
-            r_bits = _unchecked(r, 32)
-            pad = pads[r] = prf.eval(r_bits).value
+            pad = pads[r] = prf.eval(_unchecked(r, 32)).value
             msg = 0 if rec is None else (rec[0] << n_dat) | rec[1].value
-            blocks.append(Ciphertext(self._name, _unchecked(msg ^ pad, n_msg), r=r_bits))
+            blocks.append((msg ^ pad, r))
         return blocks
 
     def decode_path(self, blocks) -> list:
@@ -217,9 +220,9 @@ class SkesCodec:
         out; ProtocolAbort at the first tag above n_db."""
         n_db, n_dat, prf, pads = self._params.n_db, self._params.n_dat, self._prf, self._pads
         records = []
-        for block in blocks:
-            pad = pads.pop(block.r.value, None)
-            msg = block.body.value ^ (prf.eval(block.r).value if pad is None else pad)
+        for body, r in blocks:
+            pad = pads.pop(r, None)
+            msg = body ^ (prf.eval(_unchecked(r, 32)).value if pad is None else pad)
             tag = msg >> n_dat
             if tag > n_db:
                 raise ProtocolAbort(f"block decodes to invalid tag {tag}")
@@ -227,9 +230,7 @@ class SkesCodec:
                 records.append([tag, _unchecked(msg & ((1 << n_dat) - 1), n_dat)])
         return records
 
-    @staticmethod
-    def view(blocks) -> tuple:
-        return tuple((c.body.value, c.r.value) for c in blocks)
+    view = staticmethod(tuple)
 
 
 def tree_init(params: OramParams, rand: Rand, scheme, codec_cls, prng=None):

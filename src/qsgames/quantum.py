@@ -155,17 +155,6 @@ class DensityMatrix:
         joint = StateVector.random(n_qubits + env, rand).density()
         return partial_trace(joint, list(range(n_qubits)))
 
-    def dump_pairs(self) -> list:
-        """Row-major [re, im] entry pairs, the golden-file snapshot format."""
-        flat = self.mat.reshape(-1)
-        return [[float(z.real), float(z.imag)] for z in flat]
-
-    @classmethod
-    def load_pairs(cls, n_qubits: int, pairs: list) -> "DensityMatrix":
-        dim = 1 << n_qubits
-        flat = np.array([complex(re, im) for re, im in pairs])
-        return cls(n_qubits, flat.reshape(dim, dim))
-
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         _check_density_cap(self.n_qubits + other.n_qubits)
         return DensityMatrix(self.n_qubits + other.n_qubits, np.kron(self.mat, other.mat), check=False)

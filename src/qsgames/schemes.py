@@ -56,16 +56,6 @@ class Ciphertext:
     r: BitString | None = None
     aux: object = None
 
-    def to_json(self) -> dict:
-        out = {"scheme": self.scheme, "body": self.body.to_json()}
-        if self.r is not None:
-            out["r"] = self.r.to_json()
-        if isinstance(self.aux, Ciphertext):
-            out["aux"] = self.aux.to_json()
-        elif isinstance(self.aux, BitString):
-            out["aux"] = {"key": self.aux.to_json()}
-        return out
-
 
 def require_enc_perm(scheme) -> None:
     """Reject a scheme that exposes no enc_perm hook."""

@@ -17,7 +17,7 @@ from qsgames.oram import (
 )
 from qsgames.prf import IdealPrf
 from qsgames.rng import BlumMicaliPrng, Rand
-from qsgames.schemes import Ciphertext
+from skes_blocks import as_ciphertext
 
 
 def fresh(n_db=8, n_dat=8, seed=0, **kw):
@@ -37,7 +37,7 @@ class TestInit:
         client, server = fresh()
         for bucket in server.nodes:
             for block in bucket:
-                assert client.scheme.dec(client.key, block).value == 0
+                assert client.scheme.dec(client.key, as_ciphertext(client.scheme, block)).value == 0
 
     def test_same_seed_same_position_map(self):
         a, _ = fresh(seed=42)
@@ -123,6 +123,17 @@ class TestCosts:
             oram_access(client, server, op)
         assert len(calls) <= 124 + 20 * 40
 
+    def test_pad_memo_holds_at_most_one_pad_per_stored_block(self):
+        # decoding pops the pad of every block it reads back, so the memo
+        # never holds more entries than the tree has blocks
+        client, server = oram_init(OramParams(n_db=16), Rand(5))
+        gen = Rand(6).numpy()
+        for i in range(200):
+            rid = int(gen.integers(1, 17))
+            op = DataRequest("write", rid, BitString(i % 256, 8)) if gen.random() < 0.5 else DataRequest("read", rid)
+            oram_access(client, server, op)
+        assert len(client.codec._pads) <= server.node_count * server.n_bkt
+
 
 class TestInvariants:
     def test_path_locality_every_diff(self):
@@ -141,6 +152,23 @@ class TestInvariants:
             i = int(gen.integers(1, 17))
             _, _, ap = oram_access(client, server, DataRequest("read", i))
             assert not (set(ap.transcript.down) & set(ap.transcript.up))
+
+    def test_classical_tree_is_its_own_view(self):
+        # a stored block is the int pair (body, r), which is also its view
+        client, server = fresh(n_db=16, seed=18)
+
+        def check():
+            for bucket, view in zip(server.nodes, server.views):
+                assert bucket is view
+                assert all(type(body) is int and type(r) is int for body, r in bucket)
+                assert all(0 <= body < 1 << client.params.n_msg and 0 <= r < 1 << 32 for body, r in bucket)
+
+        check()
+        for i in range(40):
+            rid = 1 + i % 16
+            op = DataRequest("write", rid, BitString(i, 8)) if i % 2 else DataRequest("read", rid)
+            oram_access(client, server, op)
+        check()
 
     def test_stash_stays_small(self):
         client, server = fresh(n_db=64, seed=7)
@@ -216,15 +244,11 @@ class TestSoundness:
         leaf = client.position_map[target_id]
         for idx in server.path_nodes(leaf):
             bucket = server.nodes[idx]
-            for j, block in enumerate(bucket):
-                msg = client.scheme.dec(client.key, block)
+            for j, (body, r) in enumerate(bucket):
+                msg = client.scheme.dec(client.key, as_ciphertext(client.scheme, (body, r)))
                 if msg.take(client.params.n_tag).value == target_id:
-                    if flip_tag:
-                        mask = BitString(1 << (msg.width - 1), msg.width)
-                    else:
-                        mask = BitString(1, msg.width)  # lowest data bit
-                    flipped = Ciphertext(block.scheme, block.body ^ mask, r=block.r)
-                    new = bucket[:j] + (flipped,) + bucket[j + 1:]
+                    mask = 1 << (msg.width - 1) if flip_tag else 1  # top tag bit, or lowest data bit
+                    new = bucket[:j] + ((body ^ mask, r),) + bucket[j + 1:]
                     server.store(idx, new, SkesCodec.view(new))
                     return True
         return False

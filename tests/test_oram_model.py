@@ -20,7 +20,7 @@ import oram_reference as ref
 from qsgames.bits import BitString
 from qsgames.oram import DataRequest, OramParams, ProtocolAbort, oram_access, oram_init
 from qsgames.rng import Rand
-from qsgames.schemes import Ciphertext
+from skes_blocks import as_ciphertext, as_pair
 
 index = st.integers(0, 1 << 16)
 
@@ -32,7 +32,7 @@ class ClassicalOramModel(RuleBasedStateMachine):
         params = OramParams(n_db=n_db, n_dat=n_dat, n_bkt=n_bkt)
         self.client, self.server = oram_init(params, Rand(seed))
         self.ref_client, self.ref_server = ref.reference_init(n_db, n_dat, n_bkt, Rand(seed))
-        self.n_db, self.n_dat = n_db, n_dat
+        self.n_db, self.n_dat, self.n_msg = n_db, n_dat, params.n_msg
         self.shadow = {}
         self.tampered = False
 
@@ -69,14 +69,17 @@ class ClassicalOramModel(RuleBasedStateMachine):
         return divmod(raw % (len(self.server.nodes) * self.server.n_bkt), self.server.n_bkt)
 
     def tamper(self, edit):
-        """Apply edit(buckets) to each tree's buckets, as lists, and store them back."""
+        """Apply edit(buckets) to each tree's buckets, as lists of (body, r)
+        pairs, and store them back; the reference's ciphertexts go through
+        pairs and back."""
         library = [list(bucket) for bucket in self.server.nodes]
         edit(library)
-        for idx, bucket in enumerate(library):
-            self.server.store(idx, tuple(bucket), self.client.codec.view(bucket))
-        reference = [list(bucket) for bucket in self.ref_server.nodes]
+        for idx, bucket in enumerate(map(tuple, library)):
+            self.server.store(idx, bucket, self.client.codec.view(bucket))
+        reference = [[as_pair(c) for c in bucket] for bucket in self.ref_server.nodes]
         edit(reference)
-        self.ref_server.nodes = [tuple(bucket) for bucket in reference]
+        scheme = self.ref_client.scheme
+        self.ref_server.nodes = [tuple(as_ciphertext(scheme, block) for block in bucket) for bucket in reference]
         self.tampered = True
 
     @rule(raw=index, bit=index)
@@ -84,9 +87,8 @@ class ClassicalOramModel(RuleBasedStateMachine):
         node, slot = self.slot(raw)
 
         def flip(buckets):
-            c = buckets[node][slot]
-            mask = BitString(1 << bit % c.body.width, c.body.width)
-            buckets[node][slot] = Ciphertext(c.scheme, c.body ^ mask, c.r)
+            body, r = buckets[node][slot]
+            buckets[node][slot] = (body ^ (1 << bit % self.n_msg), r)
         self.tamper(flip)
 
     @rule(raw=index, r=st.integers(0, (1 << 32) - 1))
@@ -94,8 +96,8 @@ class ClassicalOramModel(RuleBasedStateMachine):
         node, slot = self.slot(raw)
 
         def change(buckets):
-            c = buckets[node][slot]
-            buckets[node][slot] = Ciphertext(c.scheme, c.body, BitString(r, 32))
+            body, _ = buckets[node][slot]
+            buckets[node][slot] = (body, r)
         self.tamper(change)
 
     @rule(raw_a=index, raw_b=index)

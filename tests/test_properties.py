@@ -44,6 +44,7 @@ from qsgames.quantum import (
     type2_oracle,
 )
 from qsgames.rng import Rand, TableCache
+from skes_blocks import as_ciphertext
 
 N_DAT = 4
 bounded = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -62,7 +63,7 @@ def stored_tags(client, server) -> list[int]:
     """Tags of every non-empty block in the tree, decrypted."""
     n_tag = client.params.n_tag
     tags = (
-        client.scheme.dec(client.key, block).take(n_tag).value
+        client.scheme.dec(client.key, as_ciphertext(client.scheme, block)).take(n_tag).value
         for bucket in server.nodes for block in bucket
     )
     return [tag for tag in tags if tag]
@@ -135,7 +136,7 @@ def test_quantum_oram_returns_what_was_swapped_in(n_db, seed, data):
 
 
 def classical_views(nodes) -> tuple:
-    return tuple(tuple((c.body.value, c.r.value) for c in bucket) for bucket in nodes)
+    return tuple(tuple((body, r) for body, r in bucket) for bucket in nodes)
 
 
 def quantum_views(nodes) -> tuple:

@@ -522,15 +522,3 @@ class TestAvgPermChannel:
     def test_output_is_valid_density_matrix(self):
         out = avg_perm_channel(DensityMatrix.random_mixed(2, Rand(29)), 3)
         out.validate()
-
-
-class TestSnapshots:
-    def test_dump_load_roundtrip(self):
-        dm = DensityMatrix.random_mixed(2, Rand(30))
-        back = DensityMatrix.load_pairs(2, dm.dump_pairs())
-        assert np.abs(back.mat - dm.mat).max() < 1e-15
-
-    def test_golden_snapshot(self):
-        # row-major [re, im] pairs; frozen for the uniform single qubit
-        plus = apply_gate(StateVector.zero(1), "H", [0]).density()
-        assert np.allclose(plus.dump_pairs(), [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]])

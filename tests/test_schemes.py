@@ -397,12 +397,3 @@ def test_randomness_collisions_match_birthday_expectation():
     p = 2.0**-8
     sigma = (trials * p * (1 - p)) ** 0.5
     assert abs(collisions - trials * p) <= 3 * sigma
-
-
-def test_ciphertext_json_tagged():
-    scheme = GoldreichScheme(8)
-    r = Rand(25)
-    c = scheme.enc(scheme.key_gen(r), r.bits(8), rand=r)
-    payload = c.to_json()
-    assert payload["scheme"] == "skes-goldreich"
-    assert set(payload["body"]) == {"hex", "bits"}
