@@ -26,9 +26,10 @@ experiments attack.
 The server stores each bucket's view beside it (a classical bucket is
 its own view); snapshots, the transcript's down/up views and the tree
 digest read the views alone.  Coding touches one path per access, but
-oram_access's before and after snapshots each copy the whole list of
-views, and the first digest() after a store rehashes every view, so
-both cost O(tree).
+the first snapshot() after a store copies the whole list of views, and
+the first digest() after a store rehashes every view, so both cost
+O(tree).  Both are memoized until the next store, so oram_access's
+before snapshot is the previous access's after snapshot, not a copy.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class ServerDB:
 
     views[idx] is the codec's view of nodes[idx], computed when the
     bucket is stored; store() is the only writer, so the two lists never
-    disagree.  snapshot() and digest() read the views alone.
+    disagree.  snapshot() and digest() read the views alone, and each
+    is memoized until the next store.
     """
 
     def __init__(self, n_tree: int, n_bkt: int):
@@ -99,11 +101,12 @@ class ServerDB:
         self.nodes: list[tuple] = [()] * self.node_count
         self.views: list[tuple] = [()] * self.node_count
         self._digest: int | None = None
+        self._snapshot: tuple | None = None
 
     def store(self, idx: int, bucket: tuple, view: tuple) -> None:
         self.nodes[idx] = bucket
         self.views[idx] = view
-        self._digest = None
+        self._digest = self._snapshot = None
 
     def store_path(self, path, blocks: list, view) -> None:
         """Store blocks, n_bkt to a bucket, at the nodes of path in order;
@@ -121,7 +124,9 @@ class ServerDB:
         return tuple(v for idx in path for v in self.views[idx])
 
     def snapshot(self) -> tuple:
-        return tuple(self.views)
+        if self._snapshot is None:
+            self._snapshot = tuple(self.views)
+        return self._snapshot
 
     def digest(self) -> int:
         """FNV-1a over every block view in heap order, memoized until

@@ -14,9 +14,17 @@ the payload register here); this module supplies the block
 format (QuantumCodec), the swap step and the safe extractor.  The
 transcript is oram.Transcript, its down/up views block digests.
 
-Blocks are simulated one density matrix at a time, which is exact
-because encryption acts blockwise and the tree holds no cross-block
-entanglement.
+Blocks are stored in product form.  A plaintext block is |t><t| (x) rho,
+and a Pauli mask X^a Z^b keeps that form: the Z signs cancel on the
+diagonal tag projector, leaving |t^a><t^a|, and the pad's last 2*n_dat
+bits mask rho (the quantum one-time pad of Ambainis, Mosca, Tapp and de
+Wolf, arXiv:quant-ph/0003101).  So a QuantumBlock is the masked tag
+index, the masked 2^n_dat data matrix and r.  This is exact: encryption
+acts blockwise, the tree holds no cross-block entanglement, and
+measuring a basis-state tag picks it with certainty and leaves the data
+register renormalized by its trace.  The draws and bytes are those of
+dense 2^n_msg-dimensional blocks: the measurement still draws once, and
+a digest hashes the dense ciphertext.
 
 A block's view is its ciphertext digest, taken once when the server
 stores it; the tree digest is FNV-1a over the stored digests and is
@@ -25,16 +33,17 @@ recomputed only after a store.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _unchecked
 from .oram import ClientState, DataRequest, OramParams, ProtocolAbort, ServerDB, Transcript, tree_access, tree_init
-from .qscheme import QCiphertext, Skqes1Scheme
-from .quantum import DensityMatrix, measure_computational, partial_trace
+from .qscheme import Skqes1Scheme
+from .quantum import DensityMatrix, _check_density_cap, qotp_apply
 from .rng import Rand
 
 
@@ -42,55 +51,112 @@ from .rng import Rand
 QuantumDataRequest = DataRequest
 
 
-@dataclass
+@functools.lru_cache(maxsize=1)
+def _dense_zeros(n_msg: int) -> np.ndarray:
+    """An all-zero 2^n_msg x 2^n_msg complex matrix, as its float64 view;
+    a digest writes one block's entries into it and clears them again."""
+    dim = 1 << n_msg
+    return np.zeros((dim, 2 * dim))
+
+
+@dataclass(slots=True)
 class QuantumBlock:
-    cipher: QCiphertext
+    tag: int  # t ^ a: the masked tag register, a basis state
+    data: DensityMatrix  # the masked data register
+    r: BitString  # 2 * n_msg bits, so r.width // 2 is the block's qubit count
 
     def digest(self) -> str:
-        # rounding the float view rounds each real and imaginary part as
-        # rounding the complex matrix does, at half the cost; adding 0.0
-        # canonicalizes negative zeros so equal states always hash
-        # equally regardless of how they were produced
-        parts = np.ascontiguousarray(self.cipher.payload.mat).view(np.float64)
-        rounded = np.round(parts, 9) + 0.0
-        h = hashlib.blake2b(rounded.tobytes(), digest_size=8)
-        h.update(self.cipher.r.to_hex().encode())
+        """blake2b over the rounded float view of the dense ciphertext,
+        zero off the (t', t') block, then the hex of r; adding 0.0 makes
+        negative zeros positive, so equal states always hash equally."""
+        d = 1 << self.data.n_qubits
+        dense = _dense_zeros(self.r.width // 2)
+        lo = self.tag * d
+        block = dense[lo:lo + d, 2 * lo:2 * (lo + d)]
+        self.data.mat.view(np.float64).round(9, out=block)
+        block += 0.0
+        h = hashlib.blake2b(dense, digest_size=8)
+        block.fill(0.0)
+        h.update(self.r.to_hex().encode())
         return h.hexdigest()
 
 
 class QuantumCodec:
-    """Blocks as quantum ciphertexts of (tag register || data register);
-    decoding measures only the tag qubits."""
+    """Blocks as Skqes1Scheme ciphertexts of (tag register || data
+    register) in product form.  A path's r values come from one batched
+    draw, the stream of one Rand.bits call per block.  An empty's |0><0|
+    masks to the basis state of the pad's X bits (up to the signs of
+    zeros, which digests and decoding make positive), so empties share
+    their data registers.  Decoding draws once per block, as the tag
+    measurement does.  The pad memo maps each r that blocks this codec
+    encoded hold to its masks and the number of those blocks (r has
+    only 2 * n_msg bits); a miss, such as a tampered block, recomputes
+    the pad, a pure function of (key, r).
+    """
 
     def __init__(self, params: OramParams, scheme: Skqes1Scheme, key: BitString, rand: Rand):
+        # a digest hashes the dense matrix; within the cap, r (2 * n_msg
+        # bits) fits one 32-bit draw
+        _check_density_cap(params.n_msg)
         self._params = params
         self._scheme = scheme
         self._key = key
         self._rand = rand
-        self._empty_plain = DensityMatrix.basis(params.n_msg, 0)
+        self._empties = [DensityMatrix.basis(params.n_dat, x) for x in range(1 << params.n_dat)]
+        # the pad bit holding the X of each qubit, most significant first
+        self._x_bits = [2 * (params.n_msg - 1 - q) + 1 for q in range(params.n_msg)]
+        self._pads: dict[int, list] = {}  # r -> [tag flip, data flip, data pad, blocks holding r]
+
+    def _masks(self, r: BitString) -> list:
+        """[tag index flip, data index flip, data register pad] of F_k(r)."""
+        pad = self._scheme.pad_for(self._key, r).value
+        flip = 0
+        for bit in self._x_bits:
+            flip = (flip << 1) | ((pad >> bit) & 1)
+        n_dat = self._params.n_dat
+        return [flip >> n_dat, flip & ((1 << n_dat) - 1), _unchecked(pad & ((1 << 2 * n_dat) - 1), 2 * n_dat)]
 
     def encode_path(self, records: list) -> list:
         """One block per entry: a [tag, data register] record, or None
         for an empty."""
-        n_tag = self._params.n_tag
-        plains = (self._empty_plain if rec is None else DensityMatrix.basis(n_tag, rec[0]).tensor(rec[1])
-                  for rec in records)
-        return [QuantumBlock(self._scheme.enc(self._key, plain, rand=self._rand)) for plain in plains]
+        r_bits, pads = self._scheme.r_bits, self._pads
+        blocks = []
+        for rec, r in zip(records, self._rand.numpy().integers(0, 1 << 32, size=len(records)).tolist()):
+            r &= (1 << r_bits) - 1
+            r_str = _unchecked(r, r_bits)
+            entry = pads.get(r)
+            if entry is None:
+                entry = pads[r] = self._masks(r_str) + [0]
+            entry[3] += 1
+            tag_flip, data_flip, data_pad, _ = entry
+            blocks.append(QuantumBlock(tag_flip, self._empties[data_flip], r_str) if rec is None else
+                          QuantumBlock(rec[0] ^ tag_flip, qotp_apply(data_pad, rec[1]), r_str))
+        return blocks
 
     def decode_path(self, blocks) -> list:
         """The [tag, data register] records of the blocks in order, empties
         left out; ProtocolAbort at the first tag above n_db.  Every tag is
-        measured (it draws from the client's randomness); an empty block's
-        data is never used, so it is not traced out."""
-        n_tag, n_msg = self._params.n_tag, self._params.n_msg
+        measured, which draws from the client's randomness."""
+        n_db, n_dat, pads = self._params.n_db, self._params.n_dat, self._pads
+        gen = self._rand.numpy()
         records = []
         for block in blocks:
-            plain = self._scheme.dec(self._key, block.cipher)
-            tag_bits, post = measure_computational(plain, list(range(n_tag)), self._rand)
-            if tag_bits.value > self._params.n_db:
-                raise ProtocolAbort(f"block decodes to invalid tag {tag_bits.value}")
-            if tag_bits.value:
-                records.append([tag_bits.value, partial_trace(post, list(range(n_tag, n_msg)))])
+            entry = pads.get(block.r.value) or self._masks(block.r) + [1]
+            entry[3] -= 1
+            if not entry[3]:
+                pads.pop(block.r.value, None)
+            tag_flip, _, data_pad, _ = entry
+            tag = block.tag ^ tag_flip
+            gen.random()  # the tag is a basis state: the measurement's one draw always picks it
+            if tag > n_db:
+                raise ProtocolAbort(f"block decodes to invalid tag {tag}")
+            if tag:
+                # the collapse divides by the tag's probability, the trace
+                # of the data register; the partial trace then adds zeros
+                mat = qotp_apply(data_pad, block.data).mat
+                mat /= np.real(np.diag(mat)).sum()
+                mat += 0.0
+                records.append([tag, DensityMatrix(n_dat, mat, check=False)])
         return records
 
     @staticmethod

@@ -170,6 +170,21 @@ class TestInvariants:
             oram_access(client, server, op)
         check()
 
+    def test_back_to_back_accesses_share_one_snapshot(self):
+        # snapshot() is memoized until the next store: an access's post_db
+        # is the next access's pre_db object, and a store in between
+        # replaces it with a snapshot of the new contents
+        client, server = fresh(n_db=16, seed=20)
+        _, _, first = oram_access(client, server, DataRequest("read", 1))
+        _, _, second = oram_access(client, server, DataRequest("write", 2, BitString(5, 8)))
+        assert second.pre_db is first.post_db
+        assert second.post_db is not second.pre_db and second.post_db == tuple(server.views)
+        root = server.nodes[0][::-1]
+        server.store(0, root, root)
+        _, _, third = oram_access(client, server, DataRequest("read", 3))
+        assert third.pre_db is not second.post_db
+        assert third.pre_db == (root,) + second.post_db[1:] != second.post_db
+
     def test_stash_stays_small(self):
         client, server = fresh(n_db=64, seed=7)
         gen = Rand(8).numpy()

@@ -44,6 +44,7 @@ from qsgames.quantum import (
     type2_oracle,
 )
 from qsgames.rng import Rand, TableCache
+from qoram_blocks import dense_cipher
 from skes_blocks import as_ciphertext
 
 N_DAT = 4
@@ -101,7 +102,7 @@ def quantum_requests(n_db: int):
 
 def tag_of(client, block) -> int:
     """Tag register of a block, read off the diagonal without measuring."""
-    plain = client.scheme.dec(client.key, block.cipher)
+    plain = client.scheme.dec(client.key, dense_cipher(client.params, block))
     marginal = np.real(np.diag(plain.mat)).reshape(1 << client.params.n_tag, -1).sum(axis=1)
     return int(np.argmax(marginal))
 
@@ -124,7 +125,7 @@ def test_quantum_oram_returns_what_was_swapped_in(n_db, seed, data):
         # qubits are conserved: the tree keeps its block count and width,
         # and each touched id's data register is held exactly once
         assert all(len(bucket) == params.n_bkt for bucket in server.nodes)
-        assert all(b.cipher.payload.n_qubits == params.n_msg for bucket in server.nodes for b in bucket)
+        assert all(dense_cipher(params, b).payload.n_qubits == params.n_msg for bucket in server.nodes for b in bucket)
         held = [tag_of(client, b) for bucket in server.nodes for b in bucket]
         held = [tag for tag in held if tag] + [rec[0] for rec in client.stash]
         assert sorted(held) == sorted(shadow)

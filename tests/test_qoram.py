@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from qsgames import qoram
+from qoram_blocks import dense_cipher
+from qsgames import quantum
 from qsgames.oram import OramParams, ProtocolAbort
+from qsgames.prf import IdealPrf
 from qsgames.qoram import (
     QuantumDataRequest,
     qoram_access,
@@ -30,7 +32,7 @@ class TestInit:
         zero = DensityMatrix.basis(client.params.n_msg, 0)
         for bucket in server.nodes:
             for block in bucket:
-                plain = client.scheme.dec(client.key, block.cipher)
+                plain = client.scheme.dec(client.key, dense_cipher(client.params, block))
                 assert trace_distance(plain, zero) < 1e-10
 
     def test_deterministic_under_seed(self):
@@ -90,22 +92,32 @@ class TestAccess:
 
     def test_invalid_tag_aborts_before_the_next_measurement(self, monkeypatch):
         # n_db=2 leaves tag 3 unused; the block decoded first (the leaf
-        # bucket's first slot) carries it, so decoding measures once
+        # bucket's first slot) carries it, so decoding measures once: one
+        # random() draw from the client's generator, and nothing else
         client, server = fresh()
         leaf_bucket = server.path_nodes(client.position_map[1])[-1]
         bad = client.codec.encode_path([[3, DensityMatrix.basis(1, 0)]]) + list(server.nodes[leaf_bucket][1:])
         server.store(leaf_bucket, tuple(bad), client.codec.view(bad))
-        measured = []
-        measure = qoram.measure_computational
+        gen = client.rand.numpy()
+        expected = np.random.Generator(np.random.PCG64())
+        expected.bit_generator.state = gen.bit_generator.state
+        expected.random()
+        draws = []
 
-        def counted(*args):
-            measured.append(args)
-            return measure(*args)
+        class Counted:
+            def random(self, *args, **kwargs):
+                draws.append((args, kwargs))
+                return gen.random(*args, **kwargs)
 
-        monkeypatch.setattr(qoram, "measure_computational", counted)
+            def __getattr__(self, name):
+                return getattr(gen, name)
+
+        counted = Counted()
+        monkeypatch.setattr(client.rand, "numpy", lambda: counted)
         with pytest.raises(ProtocolAbort, match="invalid tag 3"):
             qoram_access(client, server, QuantumDataRequest("read", 1))
-        assert len(measured) == 1
+        assert draws == [((), {})]
+        assert gen.bit_generator.state == expected.bit_generator.state
 
     def test_qubit_count_conserved(self):
         # the tree keeps node_count * n_bkt blocks of n_msg qubits, and
@@ -122,7 +134,7 @@ class TestAccess:
             stash_peak = max(stash_peak, len(client.stash))
             blocks = [b for bucket in server.nodes for b in bucket]
             assert len(blocks) == server.node_count * params.n_bkt
-            assert all(b.cipher.payload.n_qubits == params.n_msg for b in blocks)
+            assert all(dense_cipher(params, b).payload.n_qubits == params.n_msg for b in blocks)
             held = [_tag(client, b) for b in blocks]
             held = [tag for tag in held if tag] + [rec[0] for rec in client.stash]
             assert sorted(held) == sorted(written)
@@ -130,9 +142,72 @@ class TestAccess:
         assert stash_peak > 0
 
 
+class TestCosts:
+    @staticmethod
+    def accesses(client, count, seed):
+        """count reads and writes of random ids, half of them writes of a
+        random mixed payload."""
+        gen = Rand(seed).numpy()
+        for i in range(count):
+            rid = int(gen.integers(1, client.params.n_db + 1))
+            payload = DensityMatrix.random_mixed(client.params.n_dat, Rand(i)) if gen.random() < 0.5 else None
+            yield QuantumDataRequest("write" if payload else "read", rid, payload)
+
+    @pytest.mark.parametrize("n_db", [2, 16])
+    def test_prf_evals_per_access(self, monkeypatch, n_db):
+        # a set-up encodes every block of the tree once, and an access
+        # re-encodes its path; decoding reuses the pads the codec computed
+        # when it encoded the blocks
+        calls = []
+        uncounted = IdealPrf.eval
+
+        def counted(prf, x):
+            calls.append(x)
+            return uncounted(prf, x)
+
+        monkeypatch.setattr(IdealPrf, "eval", counted)
+        client, server = fresh(n_db=n_db, seed=14)
+        path_blocks = (client.params.n_tree + 1) * server.n_bkt
+        assert 0 < len(calls) <= server.node_count * server.n_bkt  # 12 at n_db=2, 124 at 16
+        for qdr in self.accesses(client, 40, 15):
+            before = len(calls)
+            qoram_access(client, server, qdr)
+            assert len(calls) - before <= path_blocks  # 8 at n_db=2, 20 at 16
+
+    @pytest.mark.parametrize("n_db", [2, 16])
+    def test_pad_memo_holds_at_most_one_pad_per_stored_block(self, n_db):
+        # the memo counts the stored blocks holding each r; decoding drops
+        # a pad once no stored block holds its r
+        client, server = fresh(n_db=n_db, seed=16)
+        for qdr in self.accesses(client, 200, 17):
+            qoram_access(client, server, qdr)
+        pads = client.codec._pads
+        stored = [b.r.value for bucket in server.nodes for b in bucket]
+        assert len(pads) <= server.node_count * server.n_bkt
+        assert {r: entry[-1] for r, entry in pads.items()} == {r: stored.count(r) for r in set(stored)}
+
+    def test_no_register_wider_than_the_data_register(self, monkeypatch):
+        # blocks are a tag index and a 2^n_dat matrix: no density matrix of
+        # the whole n_msg-qubit block is built, at set-up or in an access
+        widths = []
+        check = quantum.DensityMatrix.__post_init__
+
+        def recorded(dm):
+            widths.append(dm.n_qubits)
+            check(dm)
+
+        client, server = fresh(n_db=16, seed=18)
+        requests = list(self.accesses(client, 20, 19))  # random payloads purify on 2 qubits
+        monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", recorded)
+        client, server = fresh(n_db=16, seed=18)
+        for qdr in requests:
+            qoram_access(client, server, qdr)
+        assert client.params.n_msg == 6 and widths and max(widths) == client.params.n_dat
+
+
 def _tag(client, block) -> int:
     """Tag register of a block, read off the diagonal without measuring."""
-    plain = client.scheme.dec(client.key, block.cipher)
+    plain = client.scheme.dec(client.key, dense_cipher(client.params, block))
     marginal = np.real(np.diag(plain.mat)).reshape(1 << client.params.n_tag, -1).sum(axis=1)
     return int(np.argmax(marginal))
 
@@ -170,7 +245,7 @@ def test_tag_measurement_never_disturbs_data():
     def stored_data(tag):
         for bucket in server.nodes:
             for block in bucket:
-                plain = client.scheme.dec(client.key, block.cipher)
+                plain = client.scheme.dec(client.key, dense_cipher(client.params, block))
                 tag_marginal = np.real(np.diag(plain.mat)).reshape(
                     1 << client.params.n_tag, -1
                 ).sum(axis=1)
