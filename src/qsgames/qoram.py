@@ -85,13 +85,13 @@ class QuantumCodec:
     """Blocks as Skqes1Scheme ciphertexts of (tag register || data
     register) in product form.  A path's r values come from one batched
     draw, the stream of one Rand.bits call per block.  An empty's |0><0|
-    masks to the basis state of the pad's X bits (up to the signs of
-    zeros, which digests and decoding make positive), so empties share
-    their data registers.  Decoding draws once per block, as the tag
-    measurement does.  The pad memo maps each r that blocks this codec
-    encoded hold to its masks and the number of those blocks (r has
-    only 2 * n_msg bits); a miss, such as a tampered block, recomputes
-    the pad, a pure function of (key, r).
+    masks to the basis state of the pad's X bits, up to the signs of
+    zeros, which digests and decoding make positive; so an empty's data
+    register is built as that basis state.  Decoding draws once per
+    block, as the tag measurement does.  The pad memo maps each r that
+    blocks this codec encoded hold to its masks and the number of those
+    blocks (r has only 2 * n_msg bits); a miss, such as a tampered
+    block, recomputes the pad, a pure function of (key, r).
     """
 
     def __init__(self, params: OramParams, scheme: Skqes1Scheme, key: BitString, rand: Rand):
@@ -102,7 +102,6 @@ class QuantumCodec:
         self._scheme = scheme
         self._key = key
         self._rand = rand
-        self._empties = [DensityMatrix.basis(params.n_dat, x) for x in range(1 << params.n_dat)]
         # the pad bit holding the X of each qubit, most significant first
         self._x_bits = [2 * (params.n_msg - 1 - q) + 1 for q in range(params.n_msg)]
         self._pads: dict[int, list] = {}  # r -> [tag flip, data flip, data pad, blocks holding r]
@@ -119,7 +118,7 @@ class QuantumCodec:
     def encode_path(self, records: list) -> list:
         """One block per entry: a [tag, data register] record, or None
         for an empty."""
-        r_bits, pads = self._scheme.r_bits, self._pads
+        r_bits, n_dat, pads = self._scheme.r_bits, self._params.n_dat, self._pads
         blocks = []
         for rec, r in zip(records, self._rand.numpy().integers(0, 1 << 32, size=len(records)).tolist()):
             r &= (1 << r_bits) - 1
@@ -129,7 +128,7 @@ class QuantumCodec:
                 entry = pads[r] = self._masks(r_str) + [0]
             entry[3] += 1
             tag_flip, data_flip, data_pad, _ = entry
-            blocks.append(QuantumBlock(tag_flip, self._empties[data_flip], r_str) if rec is None else
+            blocks.append(QuantumBlock(tag_flip, DensityMatrix.basis(n_dat, data_flip), r_str) if rec is None else
                           QuantumBlock(rec[0] ^ tag_flip, qotp_apply(data_pad, rec[1]), r_str))
         return blocks
 

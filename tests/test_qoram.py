@@ -144,14 +144,16 @@ class TestAccess:
 
 class TestCosts:
     @staticmethod
-    def accesses(client, count, seed):
+    def accesses(params, count, seed) -> list:
         """count reads and writes of random ids, half of them writes of a
         random mixed payload."""
         gen = Rand(seed).numpy()
+        requests = []
         for i in range(count):
-            rid = int(gen.integers(1, client.params.n_db + 1))
-            payload = DensityMatrix.random_mixed(client.params.n_dat, Rand(i)) if gen.random() < 0.5 else None
-            yield QuantumDataRequest("write" if payload else "read", rid, payload)
+            rid = int(gen.integers(1, params.n_db + 1))
+            payload = DensityMatrix.random_mixed(params.n_dat, Rand(i)) if gen.random() < 0.5 else None
+            requests.append(QuantumDataRequest("write" if payload else "read", rid, payload))
+        return requests
 
     @pytest.mark.parametrize("n_db", [2, 16])
     def test_prf_evals_per_access(self, monkeypatch, n_db):
@@ -169,7 +171,7 @@ class TestCosts:
         client, server = fresh(n_db=n_db, seed=14)
         path_blocks = (client.params.n_tree + 1) * server.n_bkt
         assert 0 < len(calls) <= server.node_count * server.n_bkt  # 12 at n_db=2, 124 at 16
-        for qdr in self.accesses(client, 40, 15):
+        for qdr in self.accesses(client.params, 40, 15):
             before = len(calls)
             qoram_access(client, server, qdr)
             assert len(calls) - before <= path_blocks  # 8 at n_db=2, 20 at 16
@@ -179,7 +181,7 @@ class TestCosts:
         # the memo counts the stored blocks holding each r; decoding drops
         # a pad once no stored block holds its r
         client, server = fresh(n_db=n_db, seed=16)
-        for qdr in self.accesses(client, 200, 17):
+        for qdr in self.accesses(client.params, 200, 17):
             qoram_access(client, server, qdr)
         pads = client.codec._pads
         stored = [b.r.value for bucket in server.nodes for b in bucket]
@@ -196,10 +198,10 @@ class TestCosts:
             widths.append(dm.n_qubits)
             check(dm)
 
-        client, server = fresh(n_db=16, seed=18)
-        requests = list(self.accesses(client, 20, 19))  # random payloads purify on 2 qubits
+        params = OramParams(n_db=16, n_dat=1)
+        requests = self.accesses(params, 20, 19)  # drawn first: random payloads purify on 2 qubits
         monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", recorded)
-        client, server = fresh(n_db=16, seed=18)
+        client, server = qoram_init(params, Rand(18))
         for qdr in requests:
             qoram_access(client, server, qdr)
         assert client.params.n_msg == 6 and widths and max(widths) == client.params.n_dat
