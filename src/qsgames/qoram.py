@@ -33,7 +33,6 @@ recomputed only after a store.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -51,14 +50,6 @@ from .rng import Rand
 QuantumDataRequest = DataRequest
 
 
-@functools.lru_cache(maxsize=1)
-def _dense_zeros(n_msg: int) -> np.ndarray:
-    """An all-zero 2^n_msg x 2^n_msg complex matrix, as its float64 view;
-    a digest writes one block's entries into it and clears them again."""
-    dim = 1 << n_msg
-    return np.zeros((dim, 2 * dim))
-
-
 @dataclass(slots=True)
 class QuantumBlock:
     tag: int  # t ^ a: the masked tag register, a basis state
@@ -69,14 +60,13 @@ class QuantumBlock:
         """blake2b over the rounded float view of the dense ciphertext,
         zero off the (t', t') block, then the hex of r; adding 0.0 makes
         negative zeros positive, so equal states always hash equally."""
-        d = 1 << self.data.n_qubits
-        dense = _dense_zeros(self.r.width // 2)
+        d, dim = 1 << self.data.n_qubits, 1 << (self.r.width // 2)
+        dense = np.zeros((dim, 2 * dim))  # the complex matrix's float view
         lo = self.tag * d
         block = dense[lo:lo + d, 2 * lo:2 * (lo + d)]
         self.data.mat.view(np.float64).round(9, out=block)
         block += 0.0
         h = hashlib.blake2b(dense, digest_size=8)
-        block.fill(0.0)
         h.update(self.r.to_hex().encode())
         return h.hexdigest()
 
