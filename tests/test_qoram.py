@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qoram_blocks import dense_cipher
-from qsgames import quantum
 from qsgames.oram import OramParams, ProtocolAbort
 from qsgames.prf import IdealPrf
 from qsgames.qoram import (
@@ -192,7 +191,7 @@ class TestCosts:
         # blocks are a tag index and a 2^n_dat matrix: no density matrix of
         # the whole n_msg-qubit block is built, at set-up or in an access
         widths = []
-        check = quantum.DensityMatrix.__post_init__
+        check = DensityMatrix.__post_init__
 
         def recorded(dm):
             widths.append(dm.n_qubits)
@@ -200,7 +199,7 @@ class TestCosts:
 
         params = OramParams(n_db=16, n_dat=1)
         requests = self.accesses(params, 20, 19)  # drawn first: random payloads purify on 2 qubits
-        monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", recorded)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", recorded)
         client, server = qoram_init(params, Rand(18))
         for qdr in requests:
             qoram_access(client, server, qdr)
