@@ -1,10 +1,13 @@
-"""Golden reports and ORAM trace digests.
+"""Golden reports, the seed band and ORAM trace digests.
 
 The pinned files under tests/golden/ hold what this module computes:
 one report per catalog entry (seed 11, at most 30 trials, without
-`runtime_ms`, with the verdict) and the sha256 of three fixed request
-traces through the classical and the quantum ORAM.  test_golden.py
-recomputes everything and compares byte for byte.
+`runtime_ms`, with the verdict), the sha256 of three fixed request
+traces through the classical and the quantum ORAM, and the seed band
+(band.json): the sha256 of each report of every catalog entry at seeds
+1-8 and at most 30 trials, and of the benchmark's `scale` rows at 3
+trials.  test_golden.py and test_report_band.py recompute everything
+and compare byte for byte.
 
 Regenerate only when a change is meant to alter results:
 
@@ -33,16 +36,29 @@ SEED = 11
 MAX_TRIALS = 30
 TRIALS = {"qind-identical-arms": 2}
 TRACES_FILE = "traces.json"
+BAND_FILE = "band.json"
+BAND_SEEDS = range(1, 9)
+# perfbench's `scale` workload: (entry, overrides), run at 3 trials
+BAND_SCALE_ROWS = (
+    ("hadamard-prp-bound", {"m": 5}),
+    ("leaf-frequency-null", {"n_db": 1024}),
+    ("qap-tag-null", {"n_db": 16, "n_dat": 1}),
+)
+BAND_SCALE_TRIALS = 3
 
 
-def catalog_report(name: str, max_trials: int = MAX_TRIALS) -> str:
-    exp = experiments.get(name)
-    trials = TRIALS.get(name, min(max_trials, exp.defaults["trials"]))
-    result, passed = exp.run(trials=trials, seed=SEED)
+def report_text(name: str, trials: int, seed: int, overrides: dict | None = None) -> str:
+    """The report as the CLI writes it, minus runtime_ms, plus the verdict."""
+    result, passed = experiments.get(name).run(trials=trials, seed=seed, overrides=dict(overrides or {}))
     payload = json.loads(result.to_json())
     del payload["runtime_ms"]
     payload["pass"] = passed
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True)
+
+
+def catalog_report(name: str, max_trials: int = MAX_TRIALS) -> str:
+    trials = TRIALS.get(name, min(max_trials, experiments.get(name).defaults["trials"]))
+    return report_text(name, trials, SEED) + "\n"
 
 
 def catalog_reports() -> dict[str, str]:
@@ -94,6 +110,27 @@ def qoram_trace() -> str:
     return _sha(lines)
 
 
+def band_rows() -> dict[str, tuple]:
+    """label -> (entry, trials, overrides) for every row of the band."""
+    rows = {name: (name, min(MAX_TRIALS, exp.defaults["trials"]), {})
+            for name, exp in sorted(experiments.REGISTRY.items())}
+    for name, overrides in BAND_SCALE_ROWS:
+        label = name + "[" + ",".join(f"{k}={v}" for k, v in sorted(overrides.items())) + "]"
+        rows[label] = (name, BAND_SCALE_TRIALS, overrides)
+    return rows
+
+
+def band_row(name: str, trials: int, overrides: dict) -> dict[str, str]:
+    """seed -> sha256 of the report at that seed."""
+    return {str(seed): hashlib.sha256(report_text(name, trials, seed, overrides).encode()).hexdigest()
+            for seed in BAND_SEEDS}
+
+
+def band_digests() -> str:
+    band = {label: band_row(*row) for label, row in band_rows().items()}
+    return json.dumps(band, indent=2, sort_keys=True) + "\n"
+
+
 def trace_digests() -> str:
     digests = {
         "oram-counter-prf": oram_trace(blum_micali=False),
@@ -111,6 +148,7 @@ def main(argv: list[str]) -> int:
     for name, report in catalog_reports().items():
         (GOLDEN_DIR / f"{name}.json").write_text(report)
     (GOLDEN_DIR / TRACES_FILE).write_text(trace_digests())
+    (GOLDEN_DIR / BAND_FILE).write_text(band_digests())
     return 0
 
 
