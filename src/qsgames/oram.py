@@ -23,13 +23,16 @@ decoding a block it stored costs no PRF evaluation.  The position-map
 generator is pluggable, and its choice is exactly what the separation
 experiments attack.
 
-The server stores each bucket's view beside it (a classical bucket is
-its own view); snapshots, the transcript's down/up views and the tree
-digest read the views alone.  Coding touches one path per access, but
-the first snapshot() after a store copies the whole list of views, and
-the first digest() after a store rehashes every view, so both cost
-O(tree).  Both are memoized until the next store, so oram_access's
-before snapshot is the previous access's after snapshot, not a copy.
+A bucket's view is what an observer of the server sees of it, built
+by codec.view: a classical bucket is its own view, and a quantum
+bucket's view digests each block only when someone reads it.  The
+server keeps each bucket's view beside it, and snapshots, the
+transcript's down/up views and the tree digest read views alone.
+Coding touches one path per access.  The first snapshot() after a store
+copies the list of views, which is memoized until the next store, so
+oram_access's before snapshot is the previous access's after snapshot;
+the tree digest hashes every view of a snapshot, so it is left to
+whoever reads it.
 """
 
 from __future__ import annotations
@@ -88,10 +91,10 @@ class ServerDB:
     """Complete binary tree of height n_tree; heap-indexed nodes, each a
     bucket (a tuple) of exactly n_bkt blocks, empties included.
 
-    views[idx] is the codec's view of nodes[idx], computed when the
-    bucket is stored; store() is the only writer, so the two lists never
-    disagree.  snapshot() and digest() read the views alone, and each
-    is memoized until the next store.
+    views[idx] is the codec's view of nodes[idx], made when the bucket
+    is stored; store() is the only writer, so the two lists never
+    disagree.  snapshot() reads the views alone and is memoized until
+    the next store.
     """
 
     def __init__(self, n_tree: int, n_bkt: int):
@@ -99,14 +102,13 @@ class ServerDB:
         self.n_bkt = n_bkt
         self.node_count = (1 << (n_tree + 1)) - 1
         self.nodes: list[tuple] = [()] * self.node_count
-        self.views: list[tuple] = [()] * self.node_count
-        self._digest: int | None = None
+        self.views: list = [()] * self.node_count
         self._snapshot: tuple | None = None
 
-    def store(self, idx: int, bucket: tuple, view: tuple) -> None:
+    def store(self, idx: int, bucket: tuple, view) -> None:
         self.nodes[idx] = bucket
         self.views[idx] = view
-        self._digest = self._snapshot = None
+        self._snapshot = None
 
     def store_path(self, path, blocks: list, view) -> None:
         """Store blocks, n_bkt to a bucket, at the nodes of path in order;
@@ -119,22 +121,15 @@ class ServerDB:
         """Heap indices from the root down to the given leaf."""
         return [(1 << d) - 1 + (leaf >> (self.n_tree - d)) for d in range(self.n_tree + 1)]
 
-    def path_view(self, path: list[int]) -> tuple:
-        """The stored block views along a path, in path order."""
-        return tuple(v for idx in path for v in self.views[idx])
-
     def snapshot(self) -> tuple:
         if self._snapshot is None:
             self._snapshot = tuple(self.views)
         return self._snapshot
 
-    def digest(self) -> int:
-        """FNV-1a over every block view in heap order, memoized until
-        the next store."""
-        if self._digest is None:
-            joined = "".join(str(v) for view in self.views for v in view)
-            self._digest = fnv1a64(joined.encode())
-        return self._digest
+
+def views_digest(snapshot: tuple) -> int:
+    """FNV-1a over every block view of a snapshot, in heap order."""
+    return fnv1a64("".join(str(v) for view in snapshot for v in view).encode())
 
 
 def fnv1a64(data: bytes) -> int:
@@ -272,7 +267,7 @@ def tree_access(client: ClientState, server: ServerDB, rid: int, step):
         raise ValueError(f"id {rid} outside 1..{params.n_db}")
     leaf = client.position_map[rid]
     path = server.path_nodes(leaf)
-    down = server.path_view(path)
+    down = codec.view([block for idx in path for block in server.nodes[idx]])
 
     # fresh remap before touching the branch
     client.position_map[rid] = client.fresh_leaf()
@@ -296,10 +291,11 @@ def tree_access(client: ClientState, server: ServerDB, rid: int, step):
     client.stash = new_stash
 
     # re-encrypt root to leaf, each bucket's records before its empties
-    server.store_path(path, codec.encode_path(
-        [rec for idx in path for rec in placed[idx] + [None] * (params.n_bkt - len(placed[idx]))]), codec.view)
+    blocks = codec.encode_path(
+        [rec for idx in path for rec in placed[idx] + [None] * (params.n_bkt - len(placed[idx]))])
+    server.store_path(path, blocks, codec.view)
 
-    return leaf, down, server.path_view(path)
+    return leaf, down, codec.view(blocks)
 
 
 def oram_init(params: OramParams, rand: Rand, prng=None):

@@ -26,21 +26,25 @@ register renormalized by its trace.  The draws and bytes are those of
 dense 2^n_msg-dimensional blocks: the measurement still draws once, and
 a digest hashes the dense ciphertext.
 
-A block's view is its ciphertext digest, taken once when the server
-stores it; the tree digest is FNV-1a over the stored digests and is
-recomputed only after a store.
+A block's view is its ciphertext digest, computed when first read and
+kept on the block (call-by-need; Henderson and Morris, POPL 1976): a
+stored block never changes, so a view read late equals one read at
+once.  Bucket views and transcripts hold BlockDigests, and the safe
+extractor's SafeView computes the tree digest only when it is read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bits import BitString, _unchecked
-from .oram import ClientState, DataRequest, OramParams, ProtocolAbort, ServerDB, Transcript, tree_access, tree_init
+from .oram import (ClientState, DataRequest, OramParams, ProtocolAbort, ServerDB, Transcript, tree_access, tree_init,
+                   views_digest)
 from .qscheme import Skqes1Scheme
 from .quantum import DensityMatrix, _check_density_cap, qotp_apply
 from .rng import Rand
@@ -55,20 +59,56 @@ class QuantumBlock:
     tag: int  # t ^ a: the masked tag register, a basis state
     data: DensityMatrix  # the masked data register
     r: BitString  # 2 * n_msg bits, so r.width // 2 is the block's qubit count
+    # the digest once computed; not an __init__ argument, so that
+    # dataclasses.replace builds a block that computes its own
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def digest(self) -> str:
         """blake2b over the rounded float view of the dense ciphertext,
         zero off the (t', t') block, then the hex of r; adding 0.0 makes
-        negative zeros positive, so equal states always hash equally."""
-        d, dim = 1 << self.data.n_qubits, 1 << (self.r.width // 2)
-        dense = np.zeros((dim, 2 * dim))  # the complex matrix's float view
-        lo = self.tag * d
-        block = dense[lo:lo + d, 2 * lo:2 * (lo + d)]
-        self.data.mat.view(np.float64).round(9, out=block)
-        block += 0.0
-        h = hashlib.blake2b(dense, digest_size=8)
-        h.update(self.r.to_hex().encode())
-        return h.hexdigest()
+        negative zeros positive, so equal states always hash equally.
+        Computed on the first call and kept: a block is never changed."""
+        if self._digest is None:
+            d, dim = 1 << self.data.n_qubits, 1 << (self.r.width // 2)
+            dense = np.zeros((dim, 2 * dim))  # the complex matrix's float view
+            lo = self.tag * d
+            block = dense[lo:lo + d, 2 * lo:2 * (lo + d)]
+            self.data.mat.view(np.float64).round(9, out=block)
+            block += 0.0
+            h = hashlib.blake2b(dense, digest_size=8)
+            h.update(self.r.to_hex().encode())
+            self._digest = h.hexdigest()
+        return self._digest
+
+
+class BlockDigests(Sequence):
+    """The digests of a run of blocks, a read-only sequence that digests
+    a block only when its entry is read.  It compares equal to the tuple
+    or list of the digests: stored views, transcripts and snapshots hold
+    it where they held the digest tuple, and extractor reports where
+    they held the digest list."""
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, blocks):
+        self._blocks = tuple(blocks)
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, i: int) -> str:
+        return self._blocks[i].digest()
+
+    def __iter__(self):
+        return (block.digest() for block in self._blocks)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, list, BlockDigests)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class QuantumCodec:
@@ -148,9 +188,7 @@ class QuantumCodec:
                 records.append([tag, DensityMatrix(n_dat, mat, check=False)])
         return records
 
-    @staticmethod
-    def view(blocks) -> tuple:
-        return tuple(b.digest() for b in blocks)
+    view = BlockDigests
 
 
 def qoram_init(params: OramParams, rand: Rand, prng=None):
@@ -186,18 +224,43 @@ def qoram_access(client: ClientState, server: ServerDB, qdr: DataRequest):
 # ---------------------------------------------------------------------------
 
 
-def safe_extractor_default(transcript: Transcript | None, server: ServerDB) -> dict:
+class SafeView(Mapping):
+    """The safe extractor's report, a read-only mapping: db_digest,
+    FNV-1a over the server snapshot taken when the view was made and
+    computed on first read, and, given a transcript, its leaf and its
+    down and up digests, each digested when read.  It equals the dict
+    of those entries, in that order."""
+
+    __slots__ = ("_transcript", "_snapshot", "_db_digest", "_keys")
+
+    def __init__(self, transcript: Transcript | None, snapshot: tuple):
+        self._transcript, self._snapshot, self._db_digest = transcript, snapshot, None
+        self._keys = ("db_digest",) if transcript is None else ("db_digest", "leaf", "down", "up")
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, key):
+        if key not in self._keys:
+            raise KeyError(key)
+        if key != "db_digest":
+            return getattr(self._transcript, key)
+        if self._db_digest is None:
+            self._db_digest = views_digest(self._snapshot)
+        return self._db_digest
+
+
+def safe_extractor_default(transcript: Transcript | None, server: ServerDB) -> SafeView:
     """Identity-action extractor: classical channel contents plus
     ciphertext-register digests; data registers are never measured and
-    the joint state is untouched, so repeated runs agree bit for bit."""
-    report = {"db_digest": server.digest()}
-    if transcript is not None:
-        report["leaf"] = transcript.leaf
-        report["down"] = list(transcript.down)
-        report["up"] = list(transcript.up)
-    return report
+    the joint state is untouched, so repeated runs agree bit for bit.
+    Entries are computed when read, from the server's snapshot of now."""
+    return SafeView(transcript, server.snapshot())
 
 
-def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)
+def report_json(report: Mapping) -> str:
+    return json.dumps(dict(report), sort_keys=True, default=list)  # default: a BlockDigests
 

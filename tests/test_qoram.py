@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qoram_blocks import dense_cipher
-from qsgames.oram import OramParams, ProtocolAbort
+from qsgames import experiments, oram
+from qsgames.bits import BitString
+from qsgames.oram import OramParams, ProtocolAbort, views_digest
 from qsgames.prf import IdealPrf
 from qsgames.qoram import (
+    QuantumBlock,
     QuantumDataRequest,
     qoram_access,
     qoram_init,
@@ -38,7 +43,7 @@ class TestInit:
         a, sa = fresh(seed=42)
         b, sb = fresh(seed=42)
         assert a.position_map == b.position_map
-        assert sa.digest() == sb.digest()
+        assert views_digest(sa.snapshot()) == views_digest(sb.snapshot())
 
 
 class TestAccess:
@@ -205,12 +210,66 @@ class TestCosts:
             qoram_access(client, server, qdr)
         assert client.params.n_msg == 6 and widths and max(widths) == client.params.n_dat
 
+    @staticmethod
+    def digests_per_trial(monkeypatch, name, overrides, seeds) -> list:
+        """(block digests, tree digests) computed by one trial of a
+        catalog entry at each seed; a kept digest read again is free."""
+        counts = [0, 0]
+        digest, fnv = QuantumBlock.digest, oram.fnv1a64
+
+        def block_digest(block):
+            counts[0] += block._digest is None
+            return digest(block)
+
+        def tree_digest(data):
+            counts[1] += 1
+            return fnv(data)
+
+        monkeypatch.setattr(QuantumBlock, "digest", block_digest)
+        monkeypatch.setattr(oram, "fnv1a64", tree_digest)
+        per_trial = []
+        for seed in seeds:
+            counts[:] = [0, 0]
+            experiments.get(name).run(trials=1, seed=seed, overrides=dict(overrides))
+            per_trial.append(tuple(counts))
+        return per_trial
+
+    @pytest.mark.parametrize("overrides", [{}, {"n_db": 16, "n_dat": 1}])
+    def test_tag_only_trial_digests_nothing(self, monkeypatch, overrides):
+        # the adversary reads only leaves: no block or tree is digested
+        assert self.digests_per_trial(monkeypatch, "qap-tag-null", overrides, range(5)) == [(0, 0)] * 5
+
+    @pytest.mark.parametrize("overrides", [{}, {"n_db": 16, "n_dat": 1}])
+    def test_payload_trial_digests_at_most_one_bucket(self, monkeypatch, overrides):
+        # the adversary reads one digest of the challenge's upload
+        n_bkt = OramParams(n_db=2).n_bkt
+        for blocks, trees in self.digests_per_trial(monkeypatch, "qap-payload-null", overrides, range(5)):
+            assert 0 < blocks <= n_bkt and trees == 0
+
 
 def _tag(client, block) -> int:
     """Tag register of a block, read off the diagonal without measuring."""
     plain = client.scheme.dec(client.key, dense_cipher(client.params, block))
     marginal = np.real(np.diag(plain.mat)).reshape(1 << client.params.n_tag, -1).sum(axis=1)
     return int(np.argmax(marginal))
+
+
+class TestBlockDigest:
+    def test_replaced_block_digests_afresh(self):
+        # the kept digest is not a field of the copy dataclasses.replace makes
+        client, server = fresh(seed=20)
+        block = server.nodes[0][0]
+        block.digest()
+        moved = replace(block, r=BitString(block.r.value ^ 1, block.r.width))
+        assert moved.digest() == QuantumBlock(moved.tag, moved.data, moved.r).digest() != block.digest()
+
+    def test_views_compare_as_digest_tuples(self):
+        client, server = fresh(seed=21)
+        _, _, tr = qoram_access(client, server, QuantumDataRequest("read", 1))
+        up = tuple(block.digest() for idx in server.path_nodes(tr.leaf) for block in server.nodes[idx])
+        assert tr.up == up and up == tr.up and tr.up == list(up) and tr.up != up[1:]
+        assert tr.up[-1] == up[-1] and list(tr.up) == list(up) and len(tr.up) == len(up)
+        assert server.snapshot() == tuple(tuple(b.digest() for b in bucket) for bucket in server.nodes)
 
 
 class TestExtractor:
@@ -223,9 +282,9 @@ class TestExtractor:
 
     def test_no_state_disturbance(self):
         client, server = fresh(seed=10)
-        before = server.digest()
-        safe_extractor_default(None, server)
-        assert server.digest() == before
+        before = views_digest(server.snapshot())
+        safe_extractor_default(None, server)["db_digest"]
+        assert views_digest(server.snapshot()) == before
 
     def test_report_contains_announced_leaf(self):
         client, server = fresh(seed=11)
@@ -234,6 +293,21 @@ class TestExtractor:
         report = safe_extractor_default(tr, server)
         assert report["leaf"] == expected
         assert "down" in report and "up" in report
+
+    def test_report_is_the_dict_of_its_entries_at_extraction(self):
+        # entries read after the server has moved on are those of the
+        # moment of extraction; the report equals that dict, key for key
+        client, server = fresh(seed=22)
+        _, _, tr = qoram_access(client, server, QuantumDataRequest("read", 1))
+        late = safe_extractor_default(tr, server)
+        now = {"db_digest": views_digest(server.snapshot()), "leaf": tr.leaf, "down": list(tr.down), "up": list(tr.up)}
+        qoram_access(client, server, QuantumDataRequest("write", 2, DensityMatrix.basis(1, 1)))
+        assert views_digest(server.snapshot()) != now["db_digest"]
+        assert late == now and dict(late) == now and list(late) == list(now)
+        assert report_json(late) == report_json(now)
+        assert dict(safe_extractor_default(None, server)) == {"db_digest": views_digest(server.snapshot())}
+        with pytest.raises(KeyError):
+            safe_extractor_default(None, server)["leaf"]
 
 
 def test_tag_measurement_never_disturbs_data():
