@@ -60,7 +60,7 @@ def test_concat_split_take_drop():
     assert c.drop(3) == b
 
 
-def test_invert_and_json():
+def test_invert():
     b = BitString(0b0110, 4)
     assert (~b).value == 0b1001
 
