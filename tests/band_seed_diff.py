@@ -23,7 +23,9 @@ from pathlib import Path
 
 
 def worker(entry: str, seeds: range, trials: int | None, overrides: dict) -> None:
-    """Print {seed: report} for the qsgames on sys.path."""
+    """Print {seed: report} for the qsgames on sys.path.  It builds the
+    report itself rather than through golden_data, which imports names
+    that an older tree may not have."""
     from qsgames import experiments
 
     reports = {}
