@@ -149,10 +149,9 @@ class AccessPatternAdversary:
 
     Phase 1 writes the zero data to the target id k times and keeps, in
     `leaves`, the leaf each view reveals; the challenge writes the same
-    data to the target id or to the other one.  A subclass supplies
-    `phase2_request`, which sets `answer`, and, against the quantum
-    ORAM, its own `zero_data` and `leaf`: the defaults read the
-    classical ORAM's access patterns.
+    data to the target id or to the other one.  Both ORAMs' views are
+    access patterns.  A subclass supplies `phase2_request`, which sets
+    `answer`, and, against the quantum ORAM, its own `zero_data`.
     """
 
     target_id = 1
@@ -167,10 +166,6 @@ class AccessPatternAdversary:
     def zero_data(params):
         return BitString.zeros(params.n_dat)
 
-    @staticmethod
-    def leaf(view) -> int:
-        return view.transcript.leaf
-
     def begin(self, rand: Rand, params) -> None:
         self.params = params
         self.data = self.zero_data(params)
@@ -181,7 +176,7 @@ class AccessPatternAdversary:
     def phase1_request(self, view):
         # every request issued so far has delivered its view first
         if view is not None and len(self.leaves) < self.k:
-            self.leaves.append(self.leaf(view))
+            self.leaves.append(view.transcript.leaf)
         if len(self.leaves) < self.k:
             return DataRequest("write", self.target_id, self.data)
         return None
@@ -239,13 +234,13 @@ class BmOramAttack(AccessPatternAdversary):
             self.answer = self._rand.coin()
         elif self.guess_bit is None:
             # the challenge view: guess, then probe the id it says was not touched
-            self.guess_bit = 0 if self.leaf(view) == self.prediction else 1
+            self.guess_bit = 0 if view.transcript.leaf == self.prediction else 1
             probe = self.target_id if self.guess_bit == 1 else self.other_id
             return DataRequest("write", probe, self.data)
         else:
             # if the guess was right, the probe hits the predicted leaf
             # exactly when it is the target id
-            passed = (self.leaf(view) == self.prediction) == (self.guess_bit == 1)
+            passed = (view.transcript.leaf == self.prediction) == (self.guess_bit == 1)
             self.answer = self.guess_bit if passed else self._rand.coin()
         return None
 
@@ -262,7 +257,7 @@ class LeafFrequencyDistinguisher(AccessPatternAdversary):
     def phase2_request(self, view):
         if self.answer is None:
             # first phase-2 call carries the challenge view
-            matched = bool(self.leaves) and self.leaf(view) == self.leaves[-1]
+            matched = bool(self.leaves) and view.transcript.leaf == self.leaves[-1]
             self.answer = 0 if matched else self._rand.coin()
         return None
 
@@ -281,10 +276,6 @@ class TagOnlyQapDistinguisher(LeafFrequencyDistinguisher):
     challenge arms touch different ids with equal payloads."""
 
     zero_data = staticmethod(_zero_register)
-
-    @staticmethod
-    def leaf(view) -> int:
-        return view["post"]["leaf"]
 
 
 class PayloadOnlyQapDistinguisher(AccessPatternAdversary):
@@ -307,6 +298,6 @@ class PayloadOnlyQapDistinguisher(AccessPatternAdversary):
 
     def phase2_request(self, view):
         if self.answer is None:
-            digest = view["post"]["up"][0]
+            digest = view.transcript.up[0]
             self.answer = int(digest, 16) & 1
         return None

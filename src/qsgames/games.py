@@ -11,6 +11,10 @@ challenge ciphertext, or a signing-budget overrun raise
 GameProtocolError (except the restricted oracle, whose rejection is
 the value BOT, not an error).
 
+Both access-pattern games hand the adversary the AccessPattern of
+each access: the server's views before and after it, and its leaf and
+down/up views.
+
 These harnesses certify concrete adversaries and statistical null
 results at fixed sizes; they never certify universal security.
 """
@@ -24,8 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bits import BitString
-from .oram import AccessPattern, oram_access
-from .qoram import qoram_access, safe_extractor_default
+from .oram import oram_access
+from .qoram import qoram_access
 from .quantum import (
     DensityMatrix,
     StateVector,
@@ -290,40 +294,29 @@ def game_qind(scheme, adversary, rand: Rand, challenge_form: str = "states",
 def _access_pattern_game(factory, access, adversary, rand: Rand, q1_max: int, q2_max: int,
                          forced_b: int | None) -> int:
     """Two learning phases of adversarial requests around one challenge
-    access; `access(client, server, request)` performs a request and
-    returns the adversary's view of it."""
+    access; `access(client, server, request)` performs a request, and
+    the AccessPattern it returns third is the adversary's view of it."""
     client, server = factory(rand)
     adversary.begin(rand, client.params)
 
-    def learn(next_request, budget: int, view, which: str):
+    def learn(next_request, budget: int, view, which: str) -> None:
         for _ in range(budget):
             request = next_request(view)
             if request is None:
-                return view
-            view = access(client, server, request)
+                return
+            view = access(client, server, request)[2]
         if next_request(view) is not None:
             raise GameProtocolError(f"{which} learning phase exceeded its budget")
-        return view
 
-    view = learn(adversary.phase1_request, q1_max, None, "first")
+    learn(adversary.phase1_request, q1_max, None, "first")
     r0, r1 = adversary.challenge()
     for request in (r0, r1):
         if not 1 <= request.id <= client.params.n_db:
             raise GameProtocolError("challenge request uses an invalid id")
     b = rand.coin() if forced_b is None else forced_b
-    view = access(client, server, r1 if b else r0)
+    view = access(client, server, r1 if b else r0)[2]
     learn(adversary.phase2_request, q2_max, view, "second")
     return int(adversary.output() == b)
-
-
-def _oram_view(client, server, dr) -> AccessPattern:
-    return oram_access(client, server, dr)[2]
-
-
-def _qoram_view(client, server, qdr) -> dict:
-    pre = safe_extractor_default(None, server)
-    _, _, transcript = qoram_access(client, server, qdr)
-    return {"pre": pre, "post": safe_extractor_default(transcript, server)}
 
 
 def game_ap_ind_cqa(oram_factory, adversary, rand: Rand, q1_max: int = 64, q2_max: int = 8,
@@ -333,15 +326,15 @@ def game_ap_ind_cqa(oram_factory, adversary, rand: Rand, q1_max: int = 64, q2_ma
     The adversary drives two learning phases of chosen data requests
     around one challenge access; views are full access patterns.
     """
-    return _access_pattern_game(oram_factory, _oram_view, adversary, rand, q1_max, q2_max, forced_b)
+    return _access_pattern_game(oram_factory, oram_access, adversary, rand, q1_max, q2_max, forced_b)
 
 
 def game_qap_ind_cqa(qoram_factory, adversary, rand: Rand, q1_max: int = 32, q2_max: int = 8,
                      forced_b: int | None = None) -> int:
-    """Quantum access-pattern game; views come from the default safe
-    extractor run before and after each access, and the unchosen
+    """Quantum access-pattern game; views are the quantum ORAM's access
+    patterns, with block digests for ciphertexts, and the unchosen
     challenge payload is discarded."""
-    return _access_pattern_game(qoram_factory, _qoram_view, adversary, rand, q1_max, q2_max, forced_b)
+    return _access_pattern_game(qoram_factory, qoram_access, adversary, rand, q1_max, q2_max, forced_b)
 
 
 # ---------------------------------------------------------------------------

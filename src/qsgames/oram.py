@@ -28,11 +28,14 @@ by codec.view: a classical bucket is its own view, and a quantum
 bucket's view digests each block only when someone reads it.  The
 server keeps each bucket's view beside it, and snapshots, the
 transcript's down/up views and the tree digest read views alone.
-Coding touches one path per access.  The first snapshot() after a store
-copies the list of views, which is memoized until the next store, so
-oram_access's before snapshot is the previous access's after snapshot;
-the tree digest hashes every view of a snapshot, so it is left to
-whoever reads it.
+tree_access returns an AccessPattern, the server's snapshots before
+and after the access around its transcript, for either ORAM; both
+access-pattern games hand it to the adversary.  Coding touches one
+path per access.  The first snapshot() after a store copies the list
+of views, which is memoized until the next store, so an access's
+before snapshot is the previous access's after snapshot; the tree
+digest hashes every view of a snapshot, so it is left to whoever
+reads it.
 """
 
 from __future__ import annotations
@@ -154,8 +157,8 @@ class AccessPattern:
     post_db: tuple
 
     def to_json(self) -> str:
-        def hex_block(pair):  # (body, r)
-            return "%x:%x" % pair
+        def hex_block(view):  # a classical (body, r) pair, or a quantum block's digest
+            return "%x:%x" % view if isinstance(view, tuple) else view
 
         return json.dumps(
             {
@@ -255,8 +258,8 @@ def _common_depth(a: int, b: int, n_tree: int) -> int:
     return n_tree - (a ^ b).bit_length()
 
 
-def tree_access(client: ClientState, server: ServerDB, rid: int, step):
-    """The access protocol both ORAMs share; returns (leaf, down, up).
+def tree_access(client: ClientState, server: ServerDB, rid: int, step) -> AccessPattern:
+    """The access protocol both ORAMs share; returns its AccessPattern.
 
     `step(target)` performs the variant's read/write on the target
     record ([tag, data], from the branch or the stash, or None when the
@@ -265,6 +268,7 @@ def tree_access(client: ClientState, server: ServerDB, rid: int, step):
     params, codec = client.params, client.codec
     if not 1 <= rid <= params.n_db:
         raise ValueError(f"id {rid} outside 1..{params.n_db}")
+    pre = server.snapshot()
     leaf = client.position_map[rid]
     path = server.path_nodes(leaf)
     down = codec.view([block for idx in path for block in server.nodes[idx]])
@@ -295,7 +299,7 @@ def tree_access(client: ClientState, server: ServerDB, rid: int, step):
         [rec for idx in path for rec in placed[idx] + [None] * (params.n_bkt - len(placed[idx]))])
     server.store_path(path, blocks, codec.view)
 
-    return leaf, down, codec.view(blocks)
+    return AccessPattern(pre, Transcript(leaf, down, codec.view(blocks)), server.snapshot())
 
 
 def oram_init(params: OramParams, rand: Rand, prng=None):
@@ -321,10 +325,9 @@ def oram_access(client: ClientState, server: ServerDB, dr: DataRequest):
             return [dr.id, dr.data]
         return None
 
-    pre = server.snapshot()
-    leaf, down, up = tree_access(client, server, dr.id, read_write)
+    pattern = tree_access(client, server, dr.id, read_write)
     client.stash_history.append(len(client.stash))
-    return client, server, AccessPattern(pre, Transcript(leaf, down, up), server.snapshot())
+    return client, server, pattern
 
 
 # ---------------------------------------------------------------------------

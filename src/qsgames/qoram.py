@@ -11,8 +11,9 @@ ever copied.
 The client, its set-up, the access protocol and the request type are
 oram's (ClientState, tree_init, tree_access, DataRequest, whose data is
 the payload register here); this module supplies the block
-format (QuantumCodec), the swap step and the safe extractor.  The
-transcript is oram.Transcript, its down/up views block digests.
+format (QuantumCodec), the swap step and the safe extractor.  An
+access returns oram.AccessPattern, as a classical one does, its
+snapshots and down/up views block digests.
 
 Blocks are stored in product form.  A plaintext block is |t><t| (x) rho,
 and a Pauli mask X^a Z^b keeps that form: the Z signs cancel on the
@@ -29,15 +30,16 @@ a digest hashes the dense ciphertext.
 A block's view is its ciphertext digest, computed when first read and
 kept on the block (call-by-need; Henderson and Morris, POPL 1976): a
 stored block never changes, so a view read late equals one read at
-once.  Bucket views and transcripts hold BlockDigests, and the safe
-extractor's SafeView computes the tree digest only when it is read.
+once.  Bucket views, snapshots and transcripts hold BlockDigests, so
+the access-pattern game digests only the blocks its adversary reads.
+The safe extractor's report is a plain dict, computed when it is made.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +87,7 @@ class BlockDigests(Sequence):
     """The digests of a run of blocks, a read-only sequence that digests
     a block only when its entry is read.  It compares equal to the tuple
     or list of the digests: stored views, transcripts and snapshots hold
-    it where they held the digest tuple, and extractor reports where
-    they held the digest list."""
+    it where they held the digest tuple."""
 
     __slots__ = ("_blocks",)
 
@@ -198,8 +199,8 @@ def qoram_init(params: OramParams, rand: Rand, prng=None):
 
 def qoram_access(client: ClientState, server: ServerDB, qdr: DataRequest):
     """One access: tag-measure each branch block, swap payloads on match,
-    re-encrypt fresh, evict, upload.  Returns (client, server, Transcript),
-    the transcript's down/up views being block digests.
+    re-encrypt fresh, evict, upload.  Returns (client, server,
+    AccessPattern), its snapshots and down/up views being block digests.
     """
     params = client.params
     payload = qdr.data if qdr.data is not None else DensityMatrix.basis(params.n_dat, 0)
@@ -215,8 +216,7 @@ def qoram_access(client: ClientState, server: ServerDB, qdr: DataRequest):
         target[1], client.retrieved = payload, target[1]
         return None
 
-    leaf, down, up = tree_access(client, server, qdr.id, swap)
-    return client, server, Transcript(leaf, down, up)
+    return client, server, tree_access(client, server, qdr.id, swap)
 
 
 # ---------------------------------------------------------------------------
@@ -224,43 +224,17 @@ def qoram_access(client: ClientState, server: ServerDB, qdr: DataRequest):
 # ---------------------------------------------------------------------------
 
 
-class SafeView(Mapping):
-    """The safe extractor's report, a read-only mapping: db_digest,
-    FNV-1a over the server snapshot taken when the view was made and
-    computed on first read, and, given a transcript, its leaf and its
-    down and up digests, each digested when read.  It equals the dict
-    of those entries, in that order."""
-
-    __slots__ = ("_transcript", "_snapshot", "_db_digest", "_keys")
-
-    def __init__(self, transcript: Transcript | None, snapshot: tuple):
-        self._transcript, self._snapshot, self._db_digest = transcript, snapshot, None
-        self._keys = ("db_digest",) if transcript is None else ("db_digest", "leaf", "down", "up")
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, key):
-        if key not in self._keys:
-            raise KeyError(key)
-        if key != "db_digest":
-            return getattr(self._transcript, key)
-        if self._db_digest is None:
-            self._db_digest = views_digest(self._snapshot)
-        return self._db_digest
-
-
-def safe_extractor_default(transcript: Transcript | None, server: ServerDB) -> SafeView:
+def safe_extractor_default(transcript: Transcript | None, server: ServerDB) -> dict:
     """Identity-action extractor: classical channel contents plus
     ciphertext-register digests; data registers are never measured and
     the joint state is untouched, so repeated runs agree bit for bit.
-    Entries are computed when read, from the server's snapshot of now."""
-    return SafeView(transcript, server.snapshot())
+    The report holds the tree digest and, given a transcript, its leaf
+    and its down and up digests."""
+    report = {"db_digest": views_digest(server.snapshot())}
+    if transcript is not None:
+        report.update(leaf=transcript.leaf, down=list(transcript.down), up=list(transcript.up))
+    return report
 
 
-def report_json(report: Mapping) -> str:
-    return json.dumps(dict(report), sort_keys=True, default=list)  # default: a BlockDigests
-
+def report_json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True)

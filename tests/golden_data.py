@@ -104,7 +104,7 @@ def qoram_trace() -> str:
             qdr = QuantumDataRequest("read", rid)
         else:
             qdr = QuantumDataRequest("write", rid, DensityMatrix.random_pure(params.n_dat, payloads))
-        _, _, transcript = qoram_access(client, server, qdr)
+        transcript = qoram_access(client, server, qdr)[2].transcript
         report = report_json(safe_extractor_default(transcript, server))
         lines.append(f"{report} {_state_json(client.retrieved)}")
     return _sha(lines)

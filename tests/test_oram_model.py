@@ -151,12 +151,12 @@ class QuantumOramModel(RuleBasedStateMachine):
 
     def access(self, op, rid, payload=None):
         try:
-            _, _, tr = qoram_access(self.client, self.server, DataRequest(op, rid, payload))
+            tr = qoram_access(self.client, self.server, DataRequest(op, rid, payload))[2].transcript
             got = (tr.leaf, tr.down, tr.up)
         except ProtocolAbort:
             got = "abort"
         try:
-            _, _, tr = qoram_access(self.ref_client, self.ref_server, DataRequest(op, rid, payload))
+            tr = qoram_access(self.ref_client, self.ref_server, DataRequest(op, rid, payload))[2].transcript
             want = (tr.leaf, tr.down, tr.up)
         except ProtocolAbort:
             want = "abort"

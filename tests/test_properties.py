@@ -184,7 +184,7 @@ def test_quantum_stored_views_match_rebuild(n_db, n_bkt, seed, data):
     for op, rid, state_seed in data.draw(quantum_requests(n_db)):
         payload = DensityMatrix.random_pure(params.n_dat, Rand(state_seed)) if op == "write" else None
         before = quantum_views(server.nodes)
-        _, _, tr = qoram_access(client, server, QuantumDataRequest(op, rid, payload))
+        tr = qoram_access(client, server, QuantumDataRequest(op, rid, payload))[2].transcript
         check_stored_views(server, quantum_views, before, tr.leaf, tr.down, tr.up)
 
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -76,7 +77,7 @@ class TestAccess:
         client, server = qoram_init(OramParams(n_db=4, n_dat=1), Rand(7))
         leaves = []
         for _ in range(16):
-            _, _, tr = qoram_access(client, server, QuantumDataRequest("read", 2))
+            tr = qoram_access(client, server, QuantumDataRequest("read", 2))[2].transcript
             leaves.append(tr.leaf)
         assert len(set(leaves)) > 1
 
@@ -265,17 +266,23 @@ class TestBlockDigest:
 
     def test_views_compare_as_digest_tuples(self):
         client, server = fresh(seed=21)
-        _, _, tr = qoram_access(client, server, QuantumDataRequest("read", 1))
+        tr = qoram_access(client, server, QuantumDataRequest("read", 1))[2].transcript
         up = tuple(block.digest() for idx in server.path_nodes(tr.leaf) for block in server.nodes[idx])
         assert tr.up == up and up == tr.up and tr.up == list(up) and tr.up != up[1:]
         assert tr.up[-1] == up[-1] and list(tr.up) == list(up) and len(tr.up) == len(up)
         assert server.snapshot() == tuple(tuple(b.digest() for b in bucket) for bucket in server.nodes)
 
+    def test_access_pattern_json_holds_the_digests(self):
+        client, server = fresh(seed=23)
+        pattern = qoram_access(client, server, QuantumDataRequest("read", 1))[2]
+        obj = json.loads(pattern.to_json())
+        assert obj["leaf"] == pattern.transcript.leaf and obj["up"] == list(pattern.transcript.up)
+
 
 class TestExtractor:
     def test_identical_reports_on_repeat(self):
         client, server = fresh(seed=9)
-        _, _, tr = qoram_access(client, server, QuantumDataRequest("read", 1))
+        tr = qoram_access(client, server, QuantumDataRequest("read", 1))[2].transcript
         a = report_json(safe_extractor_default(tr, server))
         b = report_json(safe_extractor_default(tr, server))
         assert a == b
@@ -289,7 +296,7 @@ class TestExtractor:
     def test_report_contains_announced_leaf(self):
         client, server = fresh(seed=11)
         expected = client.position_map[1]
-        _, _, tr = qoram_access(client, server, QuantumDataRequest("read", 1))
+        tr = qoram_access(client, server, QuantumDataRequest("read", 1))[2].transcript
         report = safe_extractor_default(tr, server)
         assert report["leaf"] == expected
         assert "down" in report and "up" in report
@@ -298,7 +305,7 @@ class TestExtractor:
         # entries read after the server has moved on are those of the
         # moment of extraction; the report equals that dict, key for key
         client, server = fresh(seed=22)
-        _, _, tr = qoram_access(client, server, QuantumDataRequest("read", 1))
+        tr = qoram_access(client, server, QuantumDataRequest("read", 1))[2].transcript
         late = safe_extractor_default(tr, server)
         now = {"db_digest": views_digest(server.snapshot()), "leaf": tr.leaf, "down": list(tr.down), "up": list(tr.up)}
         qoram_access(client, server, QuantumDataRequest("write", 2, DensityMatrix.basis(1, 1)))
