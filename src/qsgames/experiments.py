@@ -354,7 +354,7 @@ CATALOG = (
         "which id an access touches stays hidden",
         {"n_db": 2, "n_dat": 1, "k": 4, "trials": 500, "seed": DEFAULT_SEED},
         lambda p: partial(games.game_qap_ind_cqa, _oram_factory(_two_ids(p), qoram_init),
-                          attacks.TagOnlyQapDistinguisher(k_queries=p["k"])),
+                          attacks.TagOnlyQapDistinguisher(k_queries=p["k"]), q1_max=p["k"] + 2),
         _null_band, _NULL,
     ),
     ExperimentDef(

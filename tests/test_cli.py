@@ -185,6 +185,12 @@ class TestRunCli:
         # no learning queries at all is the adversary that can only guess
         assert cli.main(["--experiment", "bm-oram-null", "--trials", "2", "--param", "k=0"]) in (0, 1)
 
+    def test_learning_budget_follows_k(self, capsys):
+        # every learning-query row grants k + 2 phase-1 requests, so a k
+        # above a game's default budget runs to a verdict
+        assert cli.main(["--experiment", "qap-tag-null", "--trials", "2", "--param", "k=40"]) in (0, 1)
+        assert "internal error" not in capsys.readouterr().err
+
     def test_generator_group_is_checked_against_the_hardened_oram_too(self, capsys):
         # bm-oram-null never builds the generator, only its adversary does
         for param in ("p=4", "g=1"):
