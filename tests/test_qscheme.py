@@ -135,6 +135,19 @@ class TestType2Lift:
         lift = Type2LiftScheme(PrpScheme(2, 3))
         assert lift.ancilla_qubits == 3 and lift.ciphertext_qubits == 5
 
+    def test_expanding_lift_enc_on_appends_ancillas(self):
+        # enc_on acts on [env | phi] and [ancillas] appended after them:
+        # the ciphertext register is enc's payload, the env is untouched
+        lift = Type2LiftScheme(PrpScheme(1, 2))
+        r = Rand(11)
+        key = lift.key_gen(r)
+        env, phi = DensityMatrix.random_mixed(1, r), DensityMatrix.random_pure(1, r)
+        pinned = BitString(0b10, lift.r_bits)
+        joint, reg, rr = lift.enc_on(key, env.tensor(phi), [1], r=pinned)
+        assert reg == [1, 2, 3] and rr == pinned and joint.n_qubits == 4
+        assert np.abs(partial_trace(joint, reg).mat - lift.enc(key, phi, r=pinned).payload.mat).max() < 1e-12
+        assert np.abs(partial_trace(joint, [0]).mat - env.mat).max() < 1e-12
+
     def test_scheme_without_permutation_form_rejected(self):
         class NoPerm:
             name = "bare"

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from types import SimpleNamespace
 
@@ -60,6 +61,16 @@ class TestGates:
         for name, targets in (("H", [1]), ("X", [0]), ("CNOT", [2, 0]), ("SWAP", [1, 2])):
             sv = apply_gate(sv, name, targets)
             assert abs(np.vdot(sv.amps, sv.amps).real - 1) < 1e-10
+
+    def test_unitary_op_and_matrix_match_the_named_gate(self):
+        sv = StateVector.random(3, Rand(4))
+        dm = DensityMatrix.random_mixed(3, Rand(5))
+        # Y is the one gate in the table that is not its own transpose
+        for (name, targets), (state, attr) in itertools.product((("CNOT", [2, 0]), ("Y", [1])),
+                                                                 ((sv, "amps"), (dm, "mat"))):
+            named = getattr(apply_gate(state, name, targets), attr)
+            for gate in (UnitaryOp(len(targets), GATES[name]), GATES[name].tolist()):
+                assert np.array_equal(getattr(apply_gate(state, gate, targets), attr), named)
 
     def test_target_errors(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,14 @@ class TestRand:
         vals = {r.integer(3, 7) for _ in range(100)}
         assert vals <= {3, 4, 5, 6} and len(vals) == 4
 
+    def test_integer_wide_range(self):
+        # a range wider than 2^62 is drawn by rejection on raw bits
+        lo, hi = 5, 5 + 3 * (1 << 62)
+        r, again = Rand(3), Rand(3)
+        vals = [r.integer(lo, hi) for _ in range(50)]
+        assert vals == [again.integer(lo, hi) for _ in range(50)]
+        assert all(lo <= v < hi for v in vals) and max(vals) - lo > 2 << 62  # reaches the top third
+
 
 class TestBlumMicali:
     def test_step_examples(self):
