@@ -34,27 +34,22 @@ def _coerce(value: str):
     return value
 
 
+def _pair(text: str, where: str) -> tuple[str, object]:
+    """One `key=value` override; `where` names its source in the error."""
+    if "=" not in text:
+        raise ValueError(f"{where}: expected key=value, got {text!r}")
+    key, value = text.split("=", 1)
+    return key.strip(), _coerce(value.strip())
+
+
 def parse_params(pairs: list[str]) -> dict:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--param expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = _coerce(value.strip())
-    return out
+    return dict(_pair(pair, "--param") for pair in pairs)
 
 
 def load_config(path: str) -> dict:
-    out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = _coerce(value.strip())
-    return out
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    return dict(_pair(line, f"{path}:{lineno}") for lineno, line in enumerate(lines, 1)
+                if line and not line.startswith("#"))
 
 
 def render_report(result, passed: bool, claim: str, fmt: str) -> str:

@@ -16,12 +16,9 @@ trial.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from . import attacks, games, qscheme, schemes
 from . import fiatshamir as fs
@@ -150,20 +147,20 @@ class _SameArms:
 def _paired_trials(one_trial, trials: int, seed: int) -> games.ExperimentResult:
     """Trial loop that plays pair i under both challenge bits.
 
-    Fresh sequence objects with the entropy (seed, i) replay the stream
-    exactly, so both bits see the same randomness; `ci95` is 0 because
-    the pairing, not sampling, fixes the outcome.
+    Each bit's half is the games module's trial loop at the same seed,
+    so trial i of both halves draws the same randomness and pair i sees
+    it under both bits; `ci95` is 0 because the pairing, not sampling,
+    fixes the outcome.
     """
     if trials < 2:
         raise ValueError("needs at least 2 trials to pair the challenge bits")
-    t0 = time.perf_counter()
     half = trials // 2
-    wins = sum(one_trial(Rand(np.random.SeedSequence((seed, i))), forced_b=b)
-               for i in range(half) for b in (0, 1))
+    runs = [games.estimate_advantage(partial(one_trial, forced_b=b), half, seed) for b in (0, 1)]
+    wins = sum(run.successes for run in runs)
     return games.ExperimentResult(
         game="paired", params={}, trials=2 * half, successes=wins,
         advantage=wins / (2 * half) - 0.5, ci95=0.0, seed=seed,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
+        runtime_ms=sum(run.runtime_ms for run in runs),
     )
 
 

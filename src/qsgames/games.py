@@ -39,7 +39,7 @@ from .quantum import (
     type1_oracle,
 )
 from .rng import Rand
-from .schemes import Ciphertext, cca2_restricted_dec, require_enc_perm
+from .schemes import Ciphertext, cca2_restricted_dec, fresh_r, require_enc_perm
 
 
 class GameProtocolError(Exception):
@@ -174,8 +174,8 @@ class TypeOneEncOracle:
 
     def query(self, state: StateVector, x_targets: list[int], y_targets: list[int],
               r: BitString | None = None):
-        if self._scheme.r_bits and r is None:
-            r = self._rand.bits(self._scheme.r_bits)
+        if self._scheme.r_bits:
+            r = fresh_r(self._scheme.r_bits, self._rand, r)
         op = type1_oracle(self.table(r), self._scheme.msg_bits, len(y_targets))
         new_state = apply_unitary(state, op, list(x_targets) + list(y_targets))
         return new_state, r
@@ -185,10 +185,6 @@ class TypeOneEncOracle:
         perm, m = self._scheme.enc_perm(self._key, r)
         # plaintext x sits in the honest slice x || 0...0 of the permutation
         return perm.forward[np.arange(1 << m) << (perm.domain_bits - m)]
-
-    def classical(self, m: BitString):
-        """Basis-state shortcut matching query() on |m, 0>."""
-        return self._scheme.enc(self._key, m, rand=self._rand)
 
 
 def game_ind_qcpa(scheme, adversary, rand: Rand, forced_b: int | None = None) -> int:
@@ -291,8 +287,10 @@ def game_qind(scheme, adversary, rand: Rand, challenge_form: str = "states",
 # ---------------------------------------------------------------------------
 
 
-def _access_pattern_game(factory, access, adversary, rand: Rand, q1_max: int, q2_max: int,
-                         forced_b: int | None) -> int:
+Q2_MAX = 8  # requests the second learning phase of both access-pattern games may make
+
+
+def _access_pattern_game(factory, access, adversary, rand: Rand, q1_max: int, forced_b: int | None) -> int:
     """Two learning phases of adversarial requests around one challenge
     access; `access(client, server, request)` performs a request, and
     the AccessPattern it returns third is the adversary's view of it."""
@@ -315,26 +313,26 @@ def _access_pattern_game(factory, access, adversary, rand: Rand, q1_max: int, q2
             raise GameProtocolError("challenge request uses an invalid id")
     b = rand.coin() if forced_b is None else forced_b
     view = access(client, server, r1 if b else r0)[2]
-    learn(adversary.phase2_request, q2_max, view, "second")
+    learn(adversary.phase2_request, Q2_MAX, view, "second")
     return int(adversary.output() == b)
 
 
-def game_ap_ind_cqa(oram_factory, adversary, rand: Rand, q1_max: int = 64, q2_max: int = 8,
+def game_ap_ind_cqa(oram_factory, adversary, rand: Rand, q1_max: int = 64,
                     forced_b: int | None = None) -> int:
     """Adaptive access-pattern indistinguishability for an ORAM.
 
     The adversary drives two learning phases of chosen data requests
     around one challenge access; views are full access patterns.
     """
-    return _access_pattern_game(oram_factory, oram_access, adversary, rand, q1_max, q2_max, forced_b)
+    return _access_pattern_game(oram_factory, oram_access, adversary, rand, q1_max, forced_b)
 
 
-def game_qap_ind_cqa(qoram_factory, adversary, rand: Rand, q1_max: int = 32, q2_max: int = 8,
+def game_qap_ind_cqa(qoram_factory, adversary, rand: Rand, q1_max: int = 32,
                      forced_b: int | None = None) -> int:
     """Quantum access-pattern game; views are the quantum ORAM's access
     patterns, with block digests for ciphertexts, and the unchosen
     challenge payload is discarded."""
-    return _access_pattern_game(qoram_factory, qoram_access, adversary, rand, q1_max, q2_max, forced_b)
+    return _access_pattern_game(qoram_factory, qoram_access, adversary, rand, q1_max, forced_b)
 
 
 # ---------------------------------------------------------------------------

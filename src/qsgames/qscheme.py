@@ -13,7 +13,9 @@ Three constructions:
     generator of a trapdoor permutation, image of the seed attached.
 
 All operate on DensityMatrix plaintexts so entangled inputs (supplied
-as joint states, encrypted on a register) work throughout.
+as joint states, encrypted on a register) work throughout.  In the two
+secret-key schemes `enc` is `enc_on` over the whole register, whose
+width check is the only one, and r comes from schemes.fresh_r.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .quantum import (
     type2_oracle,
 )
 from .rng import Rand
-from .schemes import PkesOwtpScheme, owtp_eval, require_enc_perm
+from .schemes import PkesOwtpScheme, fresh_r, owtp_eval, require_enc_perm
 
 
 @dataclass
@@ -62,13 +64,8 @@ class Skqes1Scheme:
         return self._prf(key).eval(r)
 
     def enc(self, key: BitString, phi: DensityMatrix, rand: Rand = None, r: BitString = None) -> QCiphertext:
-        if phi.n_qubits != self.n_qubits:
-            raise ValueError(f"plaintext has {phi.n_qubits} qubits, scheme expects {self.n_qubits}")
-        if r is None:
-            r = rand.bits(self.r_bits)
-        elif r.width != self.r_bits:
-            raise ValueError("randomness width mismatch")
-        return QCiphertext(qotp_apply(self.pad_for(key, r), phi), r=r)
+        payload, _, r = self.enc_on(key, phi, range(phi.n_qubits), rand, r)
+        return QCiphertext(payload, r=r)
 
     def dec(self, key: BitString, qc: QCiphertext) -> DensityMatrix:
         return qotp_apply(self.pad_for(key, qc.r), qc.payload)
@@ -80,11 +77,9 @@ class Skqes1Scheme:
         Returns (new joint state, ciphertext register indices, r).
         """
         if len(targets) != self.n_qubits:
-            raise ValueError("register width mismatch")
-        if r is None:
-            r = rand.bits(self.r_bits)
-        pad = self.pad_for(key, r)
-        return qotp_apply(pad, joint, targets), list(targets), r
+            raise ValueError(f"register has {len(targets)} qubits, scheme expects {self.n_qubits}")
+        r = fresh_r(self.r_bits, rand, r)
+        return qotp_apply(self.pad_for(key, r), joint, targets), list(targets), r
 
 
 class Type2LiftScheme:
@@ -112,23 +107,9 @@ class Type2LiftScheme:
         perm, _ = self.inner.enc_perm(key, r)
         return type2_oracle(perm)
 
-    def _fresh_r(self, rand: Rand, r: BitString | None) -> BitString | None:
-        if self.r_bits == 0:
-            return None
-        if r is None:
-            return rand.bits(self.r_bits)
-        if r.width != self.r_bits:
-            raise ValueError("randomness width mismatch")
-        return r
-
     def enc(self, key, phi: DensityMatrix, rand: Rand = None, r: BitString = None) -> QCiphertext:
-        if phi.n_qubits != self.n_qubits:
-            raise ValueError(f"plaintext has {phi.n_qubits} qubits, scheme expects {self.n_qubits}")
-        r = self._fresh_r(rand, r)
-        state = phi
-        if self.ancilla_qubits:
-            state = phi.tensor(DensityMatrix.basis(self.ancilla_qubits, 0))
-        return QCiphertext(apply_unitary(state, self._unitary(key, r)), r=r)
+        payload, _, r = self.enc_on(key, phi, range(phi.n_qubits), rand, r)
+        return QCiphertext(payload, r=r)
 
     def dec(self, key, qc: QCiphertext) -> DensityMatrix:
         full = apply_unitary(qc.payload, self._unitary(key, qc.r).inverted())
@@ -139,15 +120,14 @@ class Type2LiftScheme:
     def enc_on(self, key, joint: DensityMatrix, targets: list[int],
                rand: Rand = None, r: BitString = None):
         if len(targets) != self.n_qubits:
-            raise ValueError("register width mismatch")
-        r = self._fresh_r(rand, r)
-        state = joint
-        anc_targets: list[int] = []
+            raise ValueError(f"register has {len(targets)} qubits, scheme expects {self.n_qubits}")
+        # a scheme without randomness (the pad) carries r = None
+        r = fresh_r(self.r_bits, rand, r) if self.r_bits else None
+        state, targets = joint, list(targets)
         if self.ancilla_qubits:
             state = joint.tensor(DensityMatrix.basis(self.ancilla_qubits, 0))
-            anc_targets = list(range(joint.n_qubits, joint.n_qubits + self.ancilla_qubits))
-        out = apply_unitary(state, self._unitary(key, r), list(targets) + anc_targets)
-        return out, list(targets) + anc_targets, r
+            targets += range(joint.n_qubits, state.n_qubits)
+        return apply_unitary(state, self._unitary(key, r), targets), targets, r
 
 
 class PkqesScheme:

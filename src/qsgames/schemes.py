@@ -7,7 +7,7 @@ of this is production cryptography.
 
 Scheme interface (duck-typed):
     key_gen(rand) -> key
-    enc(key, m, rand=None, r=None) -> Ciphertext   (pass r to pin randomness)
+    enc(key, m, rand=None, r=None) -> Ciphertext   (pass r to pin randomness; see fresh_r)
     dec(key, c) -> BitString
     msg_bits, name, randomized
 
@@ -57,6 +57,15 @@ class Ciphertext:
     aux: object = None
 
 
+def fresh_r(r_bits: int, rand: Rand, r: BitString | None) -> BitString:
+    """The pinned randomness r after a width check, or r_bits fresh bits."""
+    if r is None:
+        return rand.bits(r_bits)
+    if r.width != r_bits:
+        raise ValueError(f"randomness width {r.width} != {r_bits}")
+    return r
+
+
 def require_enc_perm(scheme) -> None:
     """Reject a scheme that exposes no enc_perm hook."""
     if not hasattr(scheme, "enc_perm"):
@@ -88,18 +97,14 @@ class OtpScheme:
         return Ciphertext(self.name, otp_enc(key, m))
 
     def dec(self, key: BitString, c: Ciphertext) -> BitString:
-        return otp_dec(key, c.body)
+        return otp_enc(key, c.body)
 
     def enc_perm(self, key: BitString, r: BitString = None) -> tuple[Permutation, int]:
         return Permutation.xor_mask(key.value, self.msg_bits), self.msg_bits
 
 
-def otp_enc(key: BitString, x: BitString) -> BitString:
+def otp_enc(key: BitString, x: BitString) -> BitString:  # its own inverse
     return x ^ key
-
-
-def otp_dec(key: BitString, y: BitString) -> BitString:
-    return y ^ key
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +138,7 @@ class GoldreichScheme:
     def enc(self, key: BitString, m: BitString, rand: Rand = None, r: BitString = None) -> Ciphertext:
         if m.width != self.msg_bits:
             raise ValueError(f"message width {m.width} != {self.msg_bits}")
-        if r is None:
-            r = rand.bits(self.r_bits)
-        elif r.width != self.r_bits:
-            raise ValueError(f"randomness width {r.width} != {self.r_bits}")
+        r = fresh_r(self.r_bits, rand, r)
         y = m ^ self._prf(key).eval(r)
         return Ciphertext(self.name, y, r=r)
 
@@ -178,10 +180,7 @@ class PrpScheme:
     def enc(self, key: BitString, m: BitString, rand: Rand = None, r: BitString = None) -> Ciphertext:
         if m.width != self.msg_bits:
             raise ValueError(f"message width {m.width} != {self.msg_bits}")
-        if r is None:
-            r = rand.bits(self.r_bits)
-        elif r.width != self.r_bits:
-            raise ValueError(f"randomness width {r.width} != {self.r_bits}")
+        r = fresh_r(self.r_bits, rand, r)
         y = self._perm(key).apply(m.concat(r).value)
         return Ciphertext(self.name, BitString(y, self.cipher_bits))
 

@@ -57,8 +57,8 @@ class TestCatalog:
             finally:
                 sys.setprofile(None)
             assert ran == entered, (name, ran, entered)
-            if name == "qind-identical-arms":  # its own paired loop
-                assert entered == Counter({"game_qind": 2})
+            if name == "qind-identical-arms":  # one trial loop per challenge bit
+                assert entered == Counter({"estimate_advantage": 2, "game_qind": 2})
             elif name == "fs-roundtrip":  # a sign/verify cycle, no game
                 assert entered == Counter({"estimate_advantage": 1})
             else:

@@ -243,6 +243,13 @@ class TestQindGame:
         with pytest.raises(ValueError):
             QindChallenge.product(DensityMatrix.basis(1, 0), DensityMatrix.basis(2, 0))
 
+    def test_challenge_argument_guards(self):
+        # [env | arm 0 | arm 1] with one env qubit and 1-qubit arms is 3 qubits
+        with pytest.raises(ValueError, match="joint state has 2 qubits, expected 3"):
+            QindChallenge.entangled(DensityMatrix.basis(2, 0), 1, 1)
+        with pytest.raises(ValueError, match="either both arms or a joint state"):
+            QindChallenge(1, arm0=DensityMatrix.basis(1, 0))
+
 
 class TestApGameBudgets:
     def test_learning_budget_enforced(self):

@@ -17,6 +17,7 @@ from qsgames.oram import (
 )
 from qsgames.prf import IdealPrf
 from qsgames.rng import BlumMicaliPrng, Rand
+from qsgames.schemes import GoldreichScheme
 from skes_blocks import as_ciphertext
 
 
@@ -51,6 +52,12 @@ class TestInit:
     def test_tag_width_covers_all_ids(self):
         params = OramParams(n_db=16)
         assert (1 << params.n_tag) > params.n_max
+
+    def test_codec_needs_32_bit_randomness(self):
+        params = OramParams(n_db=8)
+        scheme = GoldreichScheme(params.n_msg, r_bits=16)
+        with pytest.raises(ValueError, match="32-bit randomness, got r_bits=16"):
+            SkesCodec(params, scheme, scheme.key_gen(Rand(0)), Rand(1))
 
 
 class TestAccess:

@@ -272,6 +272,11 @@ class TestBlockDigest:
         assert tr.up[-1] == up[-1] and list(tr.up) == list(up) and len(tr.up) == len(up)
         assert server.snapshot() == tuple(tuple(b.digest() for b in bucket) for bucket in server.nodes)
 
+    def test_views_defer_comparison_with_other_types(self):
+        client, server = fresh(seed=22)
+        up = qoram_access(client, server, QuantumDataRequest("read", 1))[2].transcript.up
+        assert up.__eq__("digests") is NotImplemented and up != "digests"
+
     def test_access_pattern_json_holds_the_digests(self):
         client, server = fresh(seed=23)
         pattern = qoram_access(client, server, QuantumDataRequest("read", 1))[2]

@@ -92,6 +92,9 @@ class TestSkqes1:
             scheme.enc(key, DensityMatrix.basis(1, 0), rand=Rand(6))
         with pytest.raises(ValueError):
             scheme.enc(key, DensityMatrix.basis(2, 0), r=BitString(0, 3))
+        # enc_on checks a pinned r as enc does
+        with pytest.raises(ValueError, match="randomness width 3 != 4"):
+            scheme.enc_on(key, DensityMatrix.basis(3, 0), [0, 2], r=BitString(0, 3))
 
     def test_enc_on_joint_register(self):
         scheme = Skqes1Scheme(1)
@@ -154,6 +157,18 @@ class TestType2Lift:
 
         with pytest.raises(ValueError):
             Type2LiftScheme(NoPerm())
+
+
+@pytest.mark.parametrize("scheme", [Skqes1Scheme(2), Type2LiftScheme(PrpScheme(2, 1))],
+                         ids=lambda s: s.name)
+def test_register_width_is_checked_once_for_both_encryption_paths(scheme):
+    # enc is enc_on over the whole plaintext, so one guard serves both
+    key = scheme.key_gen(Rand(30))
+    for width in (1, 3):
+        with pytest.raises(ValueError, match=f"register has {width} qubits, scheme expects 2"):
+            scheme.enc(key, DensityMatrix.basis(width, 0), rand=Rand(31))
+        with pytest.raises(ValueError, match=f"register has {width} qubits, scheme expects 2"):
+            scheme.enc_on(key, DensityMatrix.basis(3, 0), list(range(width)), rand=Rand(31))
 
 
 class TestPkqes:

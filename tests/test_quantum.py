@@ -79,6 +79,8 @@ class TestGates:
             apply_gate(StateVector.zero(2), "CNOT", [1, 1])
         with pytest.raises(ValueError):
             apply_gate(StateVector.zero(2), "NOPE", [0])
+        with pytest.raises(ValueError, match="gate acts on 2 qubits, got 1 targets"):
+            apply_gate(StateVector.zero(2), "CNOT", [0])
 
 
 class TestStates:

@@ -4,6 +4,7 @@ import pytest
 
 from qsgames.bits import BitString
 from qsgames.prf import Permutation, make_prf, sample_ideal_qprp
+from qsgames.quantum import StateVector
 from qsgames.rng import Rand
 from qsgames import experiments, schemes
 from qsgames.games import TypeOneEncOracle
@@ -55,6 +56,16 @@ class TestGoldreich:
         c = scheme.enc(k, m, r=rr)
         pad = scheme._prf(k).eval(rr)
         assert c.body ^ m == pad
+
+    def test_fresh_r_checks_a_pinned_r_or_draws_fresh_bits(self):
+        pinned = BitString(0b101, 3)
+        assert schemes.fresh_r(3, Rand(0), pinned) is pinned
+        assert schemes.fresh_r(5, Rand(3), None) == Rand(3).bits(5)
+        with pytest.raises(ValueError, match="randomness width 3 != 4"):
+            schemes.fresh_r(4, Rand(0), pinned)
+        for scheme in (GoldreichScheme(4), PrpScheme(4, 2)):
+            with pytest.raises(ValueError, match="randomness width"):
+                scheme.enc(scheme.key_gen(Rand(1)), BitString(0, 4), r=BitString(0, 5))
 
     def test_randomized(self):
         scheme = GoldreichScheme(16)
@@ -358,6 +369,12 @@ class TestCoreSplit:
         scheme = OtpScheme(4)
         assert scheme.perm_bits == scheme.msg_bits and scheme.r_bits == 0
         assert_table_matches_enc(scheme, Rand(23))
+
+    def test_superposition_query_checks_a_pinned_r(self):
+        scheme = GoldreichScheme(2)
+        oracle = TypeOneEncOracle(scheme, scheme.key_gen(Rand(24)), Rand(25))
+        with pytest.raises(ValueError, match="randomness width 3 != 2"):
+            oracle.query(StateVector.zero(4), [0, 1], [2, 3], r=BitString(0, 3))
 
     def test_undeclared_scheme_rejected(self):
         for scheme in (Cca1SepScheme(msg_bits=4), object()):
