@@ -123,8 +123,6 @@ def _encode(parts) -> bytes:
             raw = part.encode()
         elif isinstance(part, int):
             raw = part.to_bytes((max(part, 1).bit_length() + 7) // 8, "big")
-        elif isinstance(part, bytes):
-            raw = part
         else:
             raise TypeError(f"cannot encode {type(part).__name__}")
         out += len(raw).to_bytes(8, "big") + raw
@@ -134,23 +132,16 @@ def _encode(parts) -> bytes:
 class RandomOracleTable:
     """Lazily sampled function into Z_q, consistent across repeats.
 
-    mode "uniform": every fresh input gets a fresh uniform value.
-    mode "semi-constant": each fresh input is pinned to the fixed
-    output with probability delta (decided by a seeded coin), else
+    Without `pinned`, every fresh input gets a fresh uniform value.
+    With it the oracle is semi-constant: each fresh input is pinned to
+    that output with probability delta (decided by a seeded coin), else
     fresh uniform.
     """
 
-    def __init__(self, q: int, rand: Rand, mode: str = "uniform",
-                 delta: float = 0.0, pinned: int | None = None):
-        if mode not in ("uniform", "semi-constant"):
-            raise ValueError(f"unknown oracle mode {mode!r}")
-        if mode == "semi-constant":
-            if not 0.0 <= delta <= 1.0:
-                raise ValueError("delta must lie in [0, 1]")
-            if pinned is None:
-                pinned = rand.integer(0, q)
+    def __init__(self, q: int, rand: Rand, delta: float = 0.0, pinned: int | None = None):
+        if not 0.0 <= delta <= 1.0:
+            raise ValueError("delta must lie in [0, 1]")
         self.q = q
-        self.mode = mode
         self.delta = delta
         self.pinned = pinned
         self._rand = rand
@@ -171,7 +162,7 @@ class RandomOracleTable:
         if key in self._table:
             return self._table[key]
         self.fresh_queries += 1
-        if self.mode == "semi-constant" and self._rand.chance(self.delta):
+        if self.pinned is not None and self._rand.chance(self.delta):
             value = self.pinned
             self.pinned_hits += 1
         else:
@@ -181,7 +172,7 @@ class RandomOracleTable:
 
 
 def semi_constant_oracle(delta: float, pinned: int, seed: int, q: int) -> RandomOracleTable:
-    return RandomOracleTable(q, Rand(seed), mode="semi-constant", delta=delta, pinned=pinned)
+    return RandomOracleTable(q, Rand(seed), delta=delta, pinned=pinned)
 
 
 # ---------------------------------------------------------------------------

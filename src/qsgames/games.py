@@ -69,7 +69,7 @@ def _ci95(successes: int, trials: int) -> float:
     return min(half, p, 1 - p) if 0 < p < 1 else 0.0
 
 
-def estimate_advantage(game_fn, trials: int, seed: int, name: str = "game", params: dict | None = None) -> ExperimentResult:
+def estimate_advantage(game_fn, trials: int, seed: int) -> ExperimentResult:
     """Run seeded independent trials of game_fn(rand) -> {0, 1}."""
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -78,8 +78,8 @@ def estimate_advantage(game_fn, trials: int, seed: int, name: str = "game", para
     successes = sum(game_fn(Rand(np.random.SeedSequence(seed, spawn_key=(i,)))) for i in range(trials))
     dt = (time.perf_counter() - t0) * 1000
     return ExperimentResult(
-        game=name,
-        params=params or {},
+        game="game",
+        params={},
         trials=trials,
         successes=successes,
         advantage=successes / trials - 0.5,

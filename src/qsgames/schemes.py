@@ -15,6 +15,12 @@ Schemes whose pinned-randomness encryption is a bijection additionally
 expose enc_perm(key, r) -> (Permutation, plaintext_bits), the one hook
 both quantum forms of encryption are built from: the lift's in-place
 unitary and the superposition oracle's xor-style table.
+
+Schemes that mask a message with a pad (GoldreichScheme,
+PkesOwtpScheme) expose it as a key encapsulation, the hook the quantum
+Pauli-pad scheme is built from:
+    encapsulate(key, rand, r) -> (pad, classical part sent alongside)
+    decapsulate(key, classical part) -> pad
 """
 
 from __future__ import annotations
@@ -135,19 +141,29 @@ class GoldreichScheme:
     def key_gen(self, rand: Rand) -> BitString:
         return rand.bits(self.key_bits)
 
+    def pad(self, key: BitString, r: BitString) -> BitString:
+        """The msg_bits-bit pad F_k(r)."""
+        return self._prf(key).eval(r)
+
+    def encapsulate(self, key: BitString, rand: Rand,
+                    r: BitString | None) -> tuple[BitString, BitString]:
+        """(pad, r) for the pinned or a fresh r; r travels in the clear."""
+        r = fresh_r(self.r_bits, rand, r)
+        return self.pad(key, r), r
+
+    decapsulate = pad
+
     def enc(self, key: BitString, m: BitString, rand: Rand = None, r: BitString = None) -> Ciphertext:
         if m.width != self.msg_bits:
             raise ValueError(f"message width {m.width} != {self.msg_bits}")
-        r = fresh_r(self.r_bits, rand, r)
-        y = m ^ self._prf(key).eval(r)
-        return Ciphertext(self.name, y, r=r)
+        pad, r = self.encapsulate(key, rand, r)
+        return Ciphertext(self.name, m ^ pad, r=r)
 
     def dec(self, key: BitString, c: Ciphertext) -> BitString:
-        return c.body ^ self._prf(key).eval(c.r)
+        return c.body ^ self.pad(key, c.r)
 
     def enc_perm(self, key: BitString, r: BitString) -> tuple[Permutation, int]:
-        pad = self._prf(key).eval(r)
-        return Permutation.xor_mask(pad.value, self.msg_bits), self.msg_bits
+        return Permutation.xor_mask(self.pad(key, r).value, self.msg_bits), self.msg_bits
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +286,7 @@ class Cca1SepScheme:
         return Cca1Key(self.base.key_gen(rand), rand.bits(self.msg_bits))
 
     def enc(self, key: Cca1Key, m: BitString, rand: Rand = None, r=None) -> Ciphertext:
-        first = self.base.enc(key.base_key, m, rand=rand)
+        first = self.base.enc(key.base_key, m, rand=rand, r=r)
         if m == key.hidden:
             second: object = key.base_key
         else:
@@ -301,9 +317,6 @@ def cca2_restricted_dec(scheme, key, forbidden: Ciphertext, c: Ciphertext):
 # ---------------------------------------------------------------------------
 
 
-MODULUS_CAP = 1 << 32
-
-
 @dataclass(frozen=True)
 class TrapdoorKeyPair:
     modulus: int
@@ -328,7 +341,7 @@ def owtp_gen(rand: Rand, bits: int = 16) -> TrapdoorKeyPair:
         p = next_prime(rand.integer(1 << (half - 1), 1 << half))
         q = next_prime(rand.integer(1 << (half - 1), 1 << half))
         n = p * q
-        if p != q and n < MODULUS_CAP:
+        if p != q and n < 1 << bits:
             break
     phi = (p - 1) * (q - 1)
     e = 3
@@ -377,15 +390,9 @@ class OwpHandle:
         return parity(x & self.mask)
 
     @classmethod
-    def from_owtp(cls, pair_index: tuple[int, int], rand: Rand) -> "OwpHandle":
+    def from_owtp(cls, pair_index: tuple[int, int], mask: int) -> "OwpHandle":
         n, _ = pair_index
-        bits = n.bit_length()
-        return cls(
-            domain_bits=bits,
-            fn=lambda x: owtp_eval(pair_index, x),
-            contains=owtp_domain(n),
-            mask=rand.bits(bits).value,
-        )
+        return cls(n.bit_length(), lambda x: owtp_eval(pair_index, x), owtp_domain(n), mask)
 
     @classmethod
     def identity(cls, domain_bits: int, mask: int | None = None, predicate=None) -> "OwpHandle":
@@ -424,14 +431,8 @@ class PkesOwtpScheme:
 
     def key_gen(self, rand: Rand):
         pair = owtp_gen(rand, self.modulus_bits)
-        handle = OwpHandle.from_owtp(pair.index, rand)
-        pk = (pair.index, handle.mask)
-        sk = (pair.index, handle.mask, pair.trapdoor)
-        return pk, sk
-
-    def _handle(self, index, mask) -> OwpHandle:
-        n, _ = index
-        return OwpHandle(n.bit_length(), lambda x: owtp_eval(index, x), owtp_domain(n), mask)
+        mask = rand.bits(pair.modulus.bit_length()).value
+        return (pair.index, mask), (pair.index, mask, pair.trapdoor)
 
     def sample_domain(self, pk, rand: Rand) -> int:
         (n, _), _mask = pk
@@ -442,25 +443,27 @@ class PkesOwtpScheme:
 
     def pad(self, pk, r: int) -> BitString:
         """The msg_bits-bit iterated-hardcore pad grown from seed r."""
-        handle = self._handle(*pk)
+        handle = OwpHandle.from_owtp(*pk)
         return goldreich_levin_prng(BitString(r, handle.domain_bits), handle, self.msg_bits)
 
-    def seed_of(self, sk, z: int) -> int:
-        """Invert the transmitted image z with the trapdoor."""
-        index, _mask, trapdoor = sk
-        if not owtp_domain(index[0])(z):
-            raise ValueError("image component outside the permutation range")
-        return owtp_invert(index, trapdoor, z)
-
-    def enc(self, pk, m: BitString, rand: Rand = None, r: int | None = None) -> Ciphertext:
+    def encapsulate(self, pk, rand: Rand, r: int | None) -> tuple[BitString, BitString]:
+        """(pad, image) for the pinned or a sampled seed r; the image of r
+        under the permutation travels in the clear."""
         index, _mask = pk
-        if m.width != self.msg_bits:
-            raise ValueError(f"message width {m.width} != {self.msg_bits}")
         if r is None:
             r = self.sample_domain(pk, rand)
-        pad = self.pad(pk, r)
-        z = owtp_eval(index, r)
-        return Ciphertext(self.name, m ^ pad, aux=BitString(z, index[0].bit_length()))
+        return self.pad(pk, r), BitString(owtp_eval(index, r), index[0].bit_length())
+
+    def decapsulate(self, sk, image: BitString) -> BitString:
+        """The pad of the seed that the trapdoor recovers from image."""
+        index, mask, trapdoor = sk
+        return self.pad((index, mask), owtp_invert(index, trapdoor, image.value))
+
+    def enc(self, pk, m: BitString, rand: Rand = None, r: int | None = None) -> Ciphertext:
+        if m.width != self.msg_bits:
+            raise ValueError(f"message width {m.width} != {self.msg_bits}")
+        pad, image = self.encapsulate(pk, rand, r)
+        return Ciphertext(self.name, m ^ pad, aux=image)
 
     def dec(self, sk, c: Ciphertext) -> BitString:
-        return c.body ^ self.pad(sk[:2], self.seed_of(sk, c.aux.value))
+        return c.body ^ self.decapsulate(sk, c.aux)

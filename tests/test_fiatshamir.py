@@ -171,6 +171,13 @@ class TestRandomOracle:
         sigma = (delta * (1 - delta) / n) ** 0.5
         assert abs(hits / n - delta) <= 3 * sigma
 
+    def test_delta_outside_unit_interval_rejected(self):
+        for delta in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                semi_constant_oracle(delta, 2, seed=13, q=11)
+            with pytest.raises(ValueError, match="delta must lie in"):
+                RandomOracleTable(11, Rand(13), delta=delta)
+
     def test_consistent_across_modes(self):
         for oracle in (RandomOracleTable(11, Rand(11)), semi_constant_oracle(0.5, 2, 12, 11)):
             first = [oracle.query("m", i) for i in range(30)]

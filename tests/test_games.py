@@ -39,7 +39,7 @@ class TestEstimateAdvantage:
         assert (a.successes, a.advantage) == (b.successes, b.advantage)
 
     def test_json_schema(self):
-        res = estimate_advantage(lambda r: 1, 10, seed=3, name="demo", params={"k": 1})
+        res = estimate_advantage(lambda r: 1, 10, seed=3)
         obj = json.loads(res.to_json())
         assert set(obj) == {"game", "params", "trials", "successes", "advantage",
                             "ci95", "seed", "runtime_ms"}

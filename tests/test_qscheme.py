@@ -159,10 +159,11 @@ class TestType2Lift:
             Type2LiftScheme(NoPerm())
 
 
-@pytest.mark.parametrize("scheme", [Skqes1Scheme(2), Type2LiftScheme(PrpScheme(2, 1))],
+@pytest.mark.parametrize("scheme", [Skqes1Scheme(2), Type2LiftScheme(PrpScheme(2, 1)), PkqesScheme(2)],
                          ids=lambda s: s.name)
 def test_register_width_is_checked_once_for_both_encryption_paths(scheme):
-    # enc is enc_on over the whole plaintext, so one guard serves both
+    # enc is enc_on over the whole plaintext, and every register scheme
+    # shares that one guard
     key = scheme.key_gen(Rand(30))
     for width in (1, 3):
         with pytest.raises(ValueError, match=f"register has {width} qubits, scheme expects 2"):
@@ -184,10 +185,10 @@ class TestPkqes:
         scheme = PkqesScheme(1, modulus_bits=12)
         r = Rand(12)
         pk, sk = scheme.key_gen(r)
-        rr = scheme.sample_domain(pk, r)
+        rr = scheme.inner.sample_domain(pk, r)
         phi = DensityMatrix.random_pure(1, r)
         qc = scheme.enc(pk, phi, r=rr)
-        pad = scheme.classical.pad(pk, rr)
+        pad = scheme.inner.pad(pk, rr)
         assert trace_distance(qotp_apply(pad, qc.payload), phi) < 1e-10
 
     def test_distinct_r_gives_distinct_ciphertexts(self):
@@ -213,7 +214,7 @@ class TestPkqes:
 
         bad = next(z for z in range(2, n) if math.gcd(z, n) != 1)
         with pytest.raises(ValueError):
-            scheme.dec(sk, QCiphertext(qc.payload, image=BitString(bad, qc.image.width)))
+            scheme.dec(sk, QCiphertext(qc.payload, r=BitString(bad, qc.r.width)))
 
 
 def test_fifty_state_correctness_battery():

@@ -196,6 +196,16 @@ class TestCca1Sep:
         c = scheme.enc(key, key.hidden, rand=r)
         assert c.aux == key.base_key
 
+    def test_pinned_r_pins_the_first_half(self):
+        scheme = Cca1SepScheme(msg_bits=8)
+        r = Rand(13)
+        key = scheme.key_gen(r)
+        m = BitString(0x42, 8)
+        c = scheme.enc(key, m, rand=r, r=BitString(0x5A, 8))
+        assert c.r == BitString(0x5A, 8) and scheme.dec(key, c) == m
+        with pytest.raises(ValueError, match="randomness width"):
+            scheme.enc(key, m, rand=r, r=BitString(0, 9))
+
 
 class TestCca2Oracle:
     def _setup(self):
@@ -261,6 +271,13 @@ class TestOwtp:
             x += 1
         assert owtp_invert(pair.index, pair.trapdoor, owtp_eval(pair.index, x)) == x
 
+    def test_gen_keeps_the_modulus_below_two_to_the_bits(self):
+        # next_prime of a half-width draw can pass 2**(bits // 2)
+        for bits in range(4, 33):
+            for seed in range(300):
+                pair = owtp_gen(Rand(seed), bits)
+                assert pair.modulus < 1 << bits, (bits, seed, pair.modulus)
+
 
 class TestGoldreichLevin:
     def test_identity_fixed_point(self):
@@ -271,7 +288,7 @@ class TestGoldreichLevin:
     def test_matches_iteration_oracle(self):
         r = Rand(16)
         pair = owtp_gen(r, bits=12)
-        owp = OwpHandle.from_owtp(pair.index, r)
+        owp = OwpHandle.from_owtp(pair.index, r.bits(pair.modulus.bit_length()).value)
         seed = 2
         while not owp.contains(seed):
             seed += 1
@@ -286,7 +303,7 @@ class TestGoldreichLevin:
     def test_distinct_seeds_differ_somewhere(self):
         r = Rand(17)
         pair = owtp_gen(r, bits=12)
-        owp = OwpHandle.from_owtp(pair.index, r)
+        owp = OwpHandle.from_owtp(pair.index, r.bits(pair.modulus.bit_length()).value)
 
         def sample():
             while True:
@@ -322,11 +339,18 @@ class TestPkes:
         m = r.bits(8)
         c = scheme.enc(pk, m, r=rr)
         index, mask = pk
-        handle = scheme._handle(index, mask)
+        handle = OwpHandle.from_owtp(index, mask)
         pad = goldreich_levin_prng(BitString(rr, handle.domain_bits), handle, 8)
         assert c.body ^ m == pad
         # transmitted image recomputes from the pinned seed
         assert c.aux.value == owtp_eval(index, rr)
+
+    def test_message_width_checked(self):
+        scheme = PkesOwtpScheme(8, modulus_bits=14)
+        r = Rand(21)
+        pk, _sk = scheme.key_gen(r)
+        with pytest.raises(ValueError, match="message width 9 != 8"):
+            scheme.enc(pk, BitString(0, 9), rand=r)
 
     def test_bad_image_rejected(self):
         scheme = PkesOwtpScheme(8, modulus_bits=14)
