@@ -297,8 +297,8 @@ CATALOG = (
         "classical challenge",
         "superposition learning alone does not break the classical challenge",
         {"m": 4, "trials": 1000, "seed": DEFAULT_SEED},
-        lambda p: partial(games.game_ind_qcpa, schemes.GoldreichScheme(p["m"]),
-                          _HadamardQuery(p["m"])),
+        lambda p: partial(games.game_ind, schemes.GoldreichScheme(p["m"]),
+                          _HadamardQuery(p["m"]), variant="qcpa"),
         _null_band, _NULL,
     ),
     ExperimentDef(

@@ -5,11 +5,14 @@ equals the challenge bit).  estimate_advantage runs seeded independent
 trials and reports successes/trials - 1/2 with a normal-approximation
 confidence interval.
 
-Oracle grants are enforced mechanically: a decryption query after the
-challenge under a phase-1-only grant, a query for the forbidden
-challenge ciphertext, or a signing-budget overrun raise
-GameProtocolError (except the restricted oracle, whose rejection is
-the value BOT, not an error).
+Both indistinguishability games, game_ind and game_qind, hand the
+adversary one oracle type, OracleSet, whose grants name the oracles
+the game allows: classical or quantum-plaintext encryption ("enc"),
+superposition encryption queries ("qenc", IND-qCPA) and decryption
+before and after the challenge ("dec1", "dec2").  A call outside the
+grant, or a signing-budget overrun, raises GameProtocolError; the
+post-challenge decryption oracle answers the challenge ciphertext
+itself with the value BOT, not an error.
 
 Both access-pattern games hand the adversary the AccessPattern of
 each access: the server's views before and after it, and its leaf and
@@ -39,7 +42,7 @@ from .quantum import (
     type1_oracle,
 )
 from .rng import Rand
-from .schemes import Ciphertext, cca2_restricted_dec, fresh_r, require_enc_perm
+from .schemes import BOT, Ciphertext, fresh_r, require_enc_perm
 
 
 class GameProtocolError(Exception):
@@ -95,21 +98,39 @@ def three_sigma(trials: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# classical indistinguishability games
+# indistinguishability games with a classical challenge
 # ---------------------------------------------------------------------------
 
 _VARIANT_GRANTS = {
     "plain": frozenset(),
     "cpa": frozenset({"enc"}),
+    "qcpa": frozenset({"qenc"}),
     "cca1": frozenset({"enc", "dec1"}),
     "cca2": frozenset({"enc", "dec1", "dec2"}),
 }
 
 
+def enc_table(scheme, key, r: BitString | None) -> np.ndarray:
+    """enc(key, x, r=r).body for every plaintext x, in order."""
+    perm, m = scheme.enc_perm(key, r)
+    # plaintext x sits in the honest slice x || 0...0 of the permutation
+    return perm.forward[np.arange(1 << m) << (perm.domain_bits - m)]
+
+
 class OracleSet:
-    """Phase-aware encryption/decryption oracles for one game instance."""
+    """Phase-aware oracles for one game instance, each behind its grant.
+
+    enc encrypts a classical or a quantum plaintext under fresh
+    randomness.  query serves encryption in superposition: it pins
+    randomness, applies |x, y> -> |x, y xor enc(x, r)> to the requested
+    wires of the adversary's state, and hands back r, the rest of the
+    ciphertext.  dec decrypts, and after the challenge answers the
+    challenge ciphertext itself with BOT.
+    """
 
     def __init__(self, scheme, key, rand: Rand, grants: frozenset):
+        if "qenc" in grants:
+            require_enc_perm(scheme)
         self._scheme = scheme
         self._key = key
         self._rand = rand
@@ -117,27 +138,39 @@ class OracleSet:
         self.phase = 1
         self.challenge_ct: Ciphertext | None = None
 
-    def enc(self, m: BitString) -> Ciphertext:
+    def enc(self, m: BitString | DensityMatrix):
         if "enc" not in self._grants:
             raise GameProtocolError("encryption oracle not granted in this game")
         return self._scheme.enc(self._key, m, rand=self._rand)
+
+    def query(self, state: StateVector, x_targets: list[int], y_targets: list[int],
+              r: BitString | None = None):
+        if "qenc" not in self._grants:
+            raise GameProtocolError("superposition encryption oracle not granted in this game")
+        if self._scheme.r_bits:
+            r = fresh_r(self._scheme.r_bits, self._rand, r)
+        op = type1_oracle(enc_table(self._scheme, self._key, r), self._scheme.msg_bits, len(y_targets))
+        return apply_unitary(state, op, list(x_targets) + list(y_targets)), r
 
     def dec(self, c: Ciphertext):
         if self.phase == 1:
             if "dec1" not in self._grants:
                 raise GameProtocolError("decryption oracle not granted before the challenge")
-            return self._scheme.dec(self._key, c)
-        if "dec2" not in self._grants:
+        elif "dec2" not in self._grants:
             raise GameProtocolError("decryption oracle not granted after the challenge")
-        return cca2_restricted_dec(self._scheme, self._key, self.challenge_ct, c)
+        elif c == self.challenge_ct:
+            return BOT
+        return self._scheme.dec(self._key, c)
 
 
 def game_ind(scheme, adversary, rand: Rand, variant: str = "plain", forced_b: int | None = None) -> int:
     """One round of the indistinguishability experiment.
 
     variant selects the oracle grant: "plain" (none), "cpa"
-    (encryption in both phases), "cca1" (plus decryption before the
-    challenge only), "cca2" (plus the rejecting decryption oracle after).
+    (encryption in both phases), "qcpa" (superposition encryption
+    queries in both phases), "cca1" (encryption, plus decryption before
+    the challenge only), "cca2" (plus the rejecting decryption oracle
+    after).
     """
     if variant not in _VARIANT_GRANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -149,52 +182,6 @@ def game_ind(scheme, adversary, rand: Rand, variant: str = "plain", forced_b: in
     oracles.phase = 2
     oracles.challenge_ct = challenge
     guess = adversary.guess(challenge, state, oracles, rand)
-    return int(guess == b)
-
-
-# ---------------------------------------------------------------------------
-# superposition encryption-oracle game (classical challenge)
-# ---------------------------------------------------------------------------
-
-
-class TypeOneEncOracle:
-    """Serves encryption as the xor-style unitary on adversary registers.
-
-    Each call pins fresh randomness, tabulates x -> enc(key, x, r).body
-    from the scheme's enc_perm hook, applies |x, y> -> |x, y xor enc(x)>
-    to the requested wires of the adversary's working state, and hands
-    back the classical randomness component (the rest of the ciphertext).
-    """
-
-    def __init__(self, scheme, key, rand: Rand):
-        require_enc_perm(scheme)
-        self._scheme = scheme
-        self._key = key
-        self._rand = rand
-
-    def query(self, state: StateVector, x_targets: list[int], y_targets: list[int],
-              r: BitString | None = None):
-        if self._scheme.r_bits:
-            r = fresh_r(self._scheme.r_bits, self._rand, r)
-        op = type1_oracle(self.table(r), self._scheme.msg_bits, len(y_targets))
-        new_state = apply_unitary(state, op, list(x_targets) + list(y_targets))
-        return new_state, r
-
-    def table(self, r: BitString | None) -> np.ndarray:
-        """enc(key, x, r=r).body for every plaintext x, in order."""
-        perm, m = self._scheme.enc_perm(self._key, r)
-        # plaintext x sits in the honest slice x || 0...0 of the permutation
-        return perm.forward[np.arange(1 << m) << (perm.domain_bits - m)]
-
-
-def game_ind_qcpa(scheme, adversary, rand: Rand, forced_b: int | None = None) -> int:
-    """Classical challenge bit, superposition access to encryption."""
-    key = scheme.key_gen(rand)
-    oracle = TypeOneEncOracle(scheme, key, rand)
-    m0, m1, held = adversary.choose(oracle, rand)
-    b = rand.coin() if forced_b is None else forced_b
-    challenge = scheme.enc(key, m1 if b else m0, rand=rand)
-    guess = adversary.guess(challenge, held, oracle, rand)
     return int(guess == b)
 
 
@@ -234,28 +221,18 @@ class QindChallenge:
         return cls(msg_qubits, env_qubits, joint=joint)
 
 
-class Type2EncOracle:
-    """Chosen-plaintext access to the in-place encryption channel."""
-
-    def __init__(self, scheme, key, rand: Rand):
-        self._scheme = scheme
-        self._key = key
-        self._rand = rand
-
-    def encrypt(self, phi: DensityMatrix):
-        return self._scheme.enc(self._key, phi, rand=self._rand)
-
-
 def game_qind(scheme, adversary, rand: Rand, challenge_form: str = "states",
               grant_cpa: bool = False, forced_b: int | None = None) -> int:
     """Quantum challenge plaintexts against a quantum encryption scheme.
 
     The challenger encrypts the chosen arm in place and traces out the
     other; the distinguisher receives environment plus ciphertext
-    registers and any classical ciphertext components.
+    registers and any classical ciphertext components.  With grant_cpa
+    the adversary's oracle set encrypts its quantum plaintexts; without
+    it, every oracle call raises GameProtocolError.
     """
     key = scheme.key_gen(rand)
-    oracle = Type2EncOracle(scheme, key, rand) if grant_cpa else None
+    oracle = OracleSet(scheme, key, rand, _VARIANT_GRANTS["cpa" if grant_cpa else "plain"])
     b = rand.coin() if forced_b is None else forced_b
     if challenge_form == "states":
         ch = adversary.challenge(rand, oracle)

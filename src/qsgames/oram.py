@@ -75,17 +75,13 @@ class OramParams:
     n_db: int
     n_dat: int = 8
     n_bkt: int = 4
-    n_max: int | None = None
     key_bits: int = 16
 
     def __post_init__(self):
         if self.n_db < 1:
             raise ValueError(f"n_db must be at least 1, got {self.n_db}")
-        self.n_max = self.n_db if self.n_max is None else self.n_max
-        if self.n_db > self.n_max:
-            raise ValueError("n_db exceeds n_max")
-        # tag width must cover ids 1..n_max plus the reserved empty tag 0
-        self.n_tag = self.n_max.bit_length()
+        # tag width must cover ids 1..n_db plus the reserved empty tag 0
+        self.n_tag = self.n_db.bit_length()
         self.n_tree = (self.n_db - 1).bit_length()
         self.n_msg = self.n_tag + self.n_dat
 

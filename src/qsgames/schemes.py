@@ -2,8 +2,10 @@
 
 Everything here runs at configurable toy widths.  The deliberately
 broken schemes (key-leaking paired ciphertexts, malleable XOR cores)
-are the separation counterexamples exercised by the games module; none
-of this is production cryptography.
+are the separation counterexamples exercised by the games module, whose
+oracle set serves every encryption and decryption oracle, the
+restricted post-challenge one included; none of this is production
+cryptography.
 
 Scheme interface (duck-typed):
     key_gen(rand) -> key
@@ -37,14 +39,8 @@ from .rng import Rand, next_prime
 
 
 class Bot:
-    """Rejection marker returned by the restricted decryption oracle."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Rejection marker: the games' post-challenge decryption oracle
+    returns BOT, the one instance, for the challenge ciphertext."""
 
     def __repr__(self):
         return "BOT"
@@ -234,6 +230,8 @@ class PrpModeScheme:
     def enc(self, key: BitString, m: BitString, rand: Rand = None, r: list[BitString] | None = None) -> Ciphertext:
         if m.width != self.msg_bits:
             raise ValueError(f"message width {m.width} != {self.msg_bits}")
+        if r is not None and len(r) != self.blocks:
+            raise ValueError(f"expected {self.blocks} pinned randomness values, one per block, got {len(r)}")
         parts = []
         rest = m
         for i in range(self.blocks):
@@ -303,13 +301,6 @@ class Cca1SepScheme:
             raise ValueError("second half is not a ciphertext")
         first = Ciphertext(c.aux.scheme, c.body, r=c.r)
         return Ciphertext(c.scheme, c.aux.body, r=c.aux.r, aux=first)
-
-
-def cca2_restricted_dec(scheme, key, forbidden: Ciphertext, c: Ciphertext):
-    """Decryption oracle that rejects exactly the challenge ciphertext."""
-    if c == forbidden:
-        return BOT
-    return scheme.dec(key, c)
 
 
 # ---------------------------------------------------------------------------

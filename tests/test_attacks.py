@@ -63,6 +63,28 @@ class TestCca1Attack:
         res = games.estimate_advantage(lambda r: games.game_ind(scheme, adv, r, variant="cca1"), 600, 4)
         assert abs(res.advantage) <= games.three_sigma(600)
 
+    def test_probing_the_hidden_message_reads_the_key_without_decrypting(self):
+        class ZeroHidden(schemes.Cca1SepScheme):
+            """The hidden message is the attack's all-zero probe."""
+
+            def key_gen(self, rand):
+                return schemes.Cca1Key(self.base.key_gen(rand), BitString.zeros(self.msg_bits))
+
+        scheme = ZeroHidden(msg_bits=8)
+        adv = attacks.Cca1CounterexampleAttack(scheme)
+        # the cpa grant denies decryption, so every win read the key off the probe
+        res = games.estimate_advantage(lambda r: games.game_ind(scheme, adv, r, variant="cpa"), 50, 12)
+        assert res.successes == 50
+
+    def test_unrecognised_plaintext_falls_back_to_a_coin(self):
+        scheme = schemes.Cca1SepScheme(msg_bits=8)
+        adv = attacks.Cca1CounterexampleAttack(scheme)
+        key = scheme.key_gen(Rand(13))
+        challenge = scheme.enc(key, BitString(0x5A, 8), rand=Rand(14))
+        state = (key.base_key, BitString.zeros(8), BitString.ones(8))
+        guesses = [adv.guess(challenge, state, None, Rand(s)) for s in range(20)]
+        assert guesses == [Rand(s).coin() for s in range(20)] and set(guesses) == {0, 1}
+
 
 class TestCca2Attack:
     def test_wins_against_xor_core(self):
@@ -89,6 +111,18 @@ class TestCca2Attack:
         adv = attacks.Cca2FlipAttack(8)
         res = games.estimate_advantage(lambda r: games.game_ind(scheme, adv, r, variant="cca2"), 600, 7)
         assert abs(res.advantage) <= games.three_sigma(600)
+
+    def test_rejected_related_ciphertext_falls_back_to_a_coin(self):
+        scheme = schemes.GoldreichScheme(8)
+        adv = attacks.Cca2FlipAttack(8)
+        key = scheme.key_gen(Rand(15))
+        challenge = scheme.enc(key, BitString.zeros(8), rand=Rand(16))
+        related = schemes.Ciphertext(challenge.scheme, challenge.body ^ BitString.ones(8), r=challenge.r)
+        oracles = games.OracleSet(scheme, key, None, frozenset({"dec2"}))
+        # an oracle whose forbidden ciphertext is the flipped one answers the attack's query with BOT
+        oracles.phase, oracles.challenge_ct = 2, related
+        guesses = [adv.guess(challenge, None, oracles, Rand(s)) for s in range(20)]
+        assert guesses == [Rand(s).coin() for s in range(20)] and set(guesses) == {0, 1}
 
 
 class TestHadamard:

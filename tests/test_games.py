@@ -16,7 +16,6 @@ from qsgames.games import (
     estimate_advantage,
     game_euf_cma,
     game_ind,
-    game_ind_qcpa,
     game_qind,
     three_sigma,
 )
@@ -101,6 +100,57 @@ class TestOracleDiscipline:
         with pytest.raises(ValueError):
             game_ind(schemes.OtpScheme(4), RandomGuessAdversary(4), Rand(4), variant="x")
 
+    class CallsOnce:
+        """Makes one oracle call in the given phase, then guesses 0."""
+
+        def __init__(self, phase, call):
+            self.phase, self.call = phase, call
+
+        def choose(self, oracles, rand):
+            if self.phase == 1:
+                self.call(oracles)
+            return BitString.zeros(8), BitString.ones(8), None
+
+        def guess(self, ct, state, oracles, rand):
+            if self.phase == 2:
+                self.call(oracles)
+            return 0
+
+    def test_qcpa_grants_only_superposition_queries(self):
+        scheme = schemes.GoldreichScheme(8)
+        enc = lambda oracles: oracles.enc(BitString.zeros(8))
+        dec = lambda oracles: oracles.dec(schemes.Ciphertext(scheme.name, BitString.zeros(8), r=BitString.zeros(8)))
+        for phase, call, message in [
+            (1, enc, "encryption oracle not granted in this game"),
+            (2, enc, "encryption oracle not granted in this game"),
+            (1, dec, "decryption oracle not granted before the challenge"),
+            (2, dec, "decryption oracle not granted after the challenge"),
+        ]:
+            with pytest.raises(GameProtocolError, match=message):
+                game_ind(scheme, self.CallsOnce(phase, call), Rand(6), variant="qcpa")
+
+    def test_cpa_denies_superposition_queries(self):
+        scheme = schemes.GoldreichScheme(8)
+        query = lambda oracles: oracles.query(StateVector.zero(2), [0], [1])
+        for phase in (1, 2):
+            with pytest.raises(GameProtocolError, match="superposition encryption oracle not granted"):
+                game_ind(scheme, self.CallsOnce(phase, query), Rand(7), variant="cpa")
+
+    def test_qind_without_cpa_grant_denies_encryption(self):
+        lift = qscheme.Type2LiftScheme(schemes.GoldreichScheme(2))
+
+        class EncryptsFirst:
+            def challenge(self, rand, oracle):
+                oracle.enc(DensityMatrix.basis(2, 0))
+
+        with pytest.raises(GameProtocolError, match="encryption oracle not granted in this game"):
+            game_qind(lift, EncryptsFirst(), Rand(8))
+
+    def test_qind_unknown_challenge_form(self):
+        lift = qscheme.Type2LiftScheme(schemes.OtpScheme(2))
+        with pytest.raises(ValueError, match="unknown challenge form 'circuits'"):
+            game_qind(lift, attacks.HadamardDistinguisher(2), Rand(9), challenge_form="circuits")
+
     def test_signing_budget_enforced(self):
         scheme = FsSigScheme()
 
@@ -172,12 +222,12 @@ class TestQcpaGame:
 
         for seed in range(30):
             assert game_ind(scheme, reuse, Rand(seed), variant="cpa") == \
-                game_ind_qcpa(scheme, BasisEmbed(), Rand(seed))
+                game_ind(scheme, BasisEmbed(), Rand(seed), variant="qcpa")
 
     def test_query_unquery_preserves_state(self):
         scheme = schemes.GoldreichScheme(3)
         key = scheme.key_gen(Rand(10))
-        oracle = games.TypeOneEncOracle(scheme, key, Rand(11))
+        oracle = games.OracleSet(scheme, key, Rand(11), frozenset({"qenc"}))
         st = StateVector.random(6, Rand(12))
         rr = BitString(0b101, 3)
         once, _ = oracle.query(st, [0, 1, 2], [3, 4, 5], r=rr)
@@ -227,7 +277,7 @@ class TestQindGame:
         class UsesOracle:
             def challenge(self, rand, oracle=None):
                 assert oracle is not None
-                qc = oracle.encrypt(DensityMatrix.basis(2, 0))
+                qc = oracle.enc(DensityMatrix.basis(2, 0))
                 assert qc.payload.n_qubits == 2
                 a = attacks.HadamardDistinguisher(2).challenge(rand)
                 return a

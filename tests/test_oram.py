@@ -45,13 +45,9 @@ class TestInit:
         b, _ = fresh(seed=42)
         assert a.position_map == b.position_map
 
-    def test_db_larger_than_max_rejected(self):
-        with pytest.raises(ValueError):
-            OramParams(n_db=8, n_max=4)
-
     def test_tag_width_covers_all_ids(self):
         params = OramParams(n_db=16)
-        assert (1 << params.n_tag) > params.n_max
+        assert (1 << params.n_tag) > params.n_db
 
     def test_codec_needs_32_bit_randomness(self):
         params = OramParams(n_db=8)

@@ -7,7 +7,7 @@ from qsgames.prf import Permutation, make_prf, sample_ideal_qprp
 from qsgames.quantum import StateVector
 from qsgames.rng import Rand
 from qsgames import experiments, schemes
-from qsgames.games import TypeOneEncOracle
+from qsgames.games import OracleSet, enc_table
 from qsgames.schemes import (
     BOT,
     Cca1SepScheme,
@@ -19,7 +19,6 @@ from qsgames.schemes import (
     PkesOwtpScheme,
     PrpModeScheme,
     PrpScheme,
-    cca2_restricted_dec,
     goldreich_levin_prng,
     owtp_eval,
     owtp_gen,
@@ -170,6 +169,17 @@ class TestPrpScheme:
         m = r.bits(9)
         assert scheme.dec(k, scheme.enc(k, m, rand=r)) == m
 
+    def test_blockwise_mode_needs_one_pinned_r_per_block(self):
+        scheme = PrpModeScheme(PrpScheme(2, 1), 2)
+        k = scheme.key_gen(Rand(10))
+        m = BitString(0b1001, 4)
+        pinned = [BitString(1, 1), BitString(0, 1)]
+        halves = [scheme.block.enc(k, BitString(v, 2), r=ri).body for v, ri in zip((0b10, 0b01), pinned)]
+        assert scheme.enc(k, m, r=pinned).body == halves[0].concat(halves[1])
+        for wrong in (pinned + [BitString(1, 1)], pinned[:1]):
+            with pytest.raises(ValueError, match=f"expected 2 pinned randomness values, one per block, got {len(wrong)}"):
+                scheme.enc(k, m, r=wrong)
+
 
 class TestCca1Sep:
     def test_roundtrip_and_pairing(self):
@@ -216,21 +226,30 @@ class TestCca2Oracle:
         c = scheme.enc(key, m, rand=r)
         return scheme, key, m, c, r
 
+    @staticmethod
+    def _restricted_dec(scheme, key, forbidden):
+        """The phase-2 decryption oracle of a game whose challenge ciphertext is `forbidden`."""
+        oracles = OracleSet(scheme, key, None, frozenset({"dec2"}))
+        oracles.phase = 2
+        oracles.challenge_ct = forbidden
+        return oracles.dec
+
     def test_forbidden_returns_bot(self):
         scheme, key, _, c, _ = self._setup()
-        assert cca2_restricted_dec(scheme, key, c, c) is BOT
+        assert self._restricted_dec(scheme, key, c)(c) is BOT and repr(BOT) == "BOT"
 
     def test_one_bit_difference_decrypts(self):
         scheme, key, m, c, _ = self._setup()
         tweaked = Ciphertext(c.scheme, c.body ^ BitString(1, 8), r=c.r)
-        assert cca2_restricted_dec(scheme, key, c, tweaked) == m ^ BitString(1, 8)
+        assert self._restricted_dec(scheme, key, c)(tweaked) == m ^ BitString(1, 8)
 
     def test_behaves_as_dec_when_not_forbidden(self):
         scheme, key, _, c, r = self._setup()
+        dec = self._restricted_dec(scheme, key, c)
         for _ in range(20):
             m2 = r.bits(8)
             c2 = scheme.enc(key, m2, rand=r)
-            assert cca2_restricted_dec(scheme, key, c, c2) == scheme.dec(key, c2)
+            assert dec(c2) == scheme.dec(key, c2)
 
 
 class TestOwtp:
@@ -367,10 +386,9 @@ class TestPkes:
 def assert_table_matches_enc(scheme, rand):
     """The superposition oracle's table equals enc's body on every plaintext."""
     key = scheme.key_gen(rand)
-    oracle = TypeOneEncOracle(scheme, key, rand)
     for _ in range(3):
         rr = rand.bits(scheme.r_bits) if scheme.r_bits else None
-        table = oracle.table(rr)
+        table = enc_table(scheme, key, rr)
         for x in range(1 << scheme.msg_bits):
             assert table[x] == scheme.enc(key, BitString(x, scheme.msg_bits), r=rr).body.value
 
@@ -396,14 +414,14 @@ class TestCoreSplit:
 
     def test_superposition_query_checks_a_pinned_r(self):
         scheme = GoldreichScheme(2)
-        oracle = TypeOneEncOracle(scheme, scheme.key_gen(Rand(24)), Rand(25))
+        oracle = OracleSet(scheme, scheme.key_gen(Rand(24)), Rand(25), frozenset({"qenc"}))
         with pytest.raises(ValueError, match="randomness width 3 != 2"):
             oracle.query(StateVector.zero(4), [0, 1], [2, 3], r=BitString(0, 3))
 
     def test_undeclared_scheme_rejected(self):
         for scheme in (Cca1SepScheme(msg_bits=4), object()):
             with pytest.raises(ValueError, match="no pinned-randomness permutation form"):
-                TypeOneEncOracle(scheme, None, Rand(0))
+                OracleSet(scheme, None, Rand(0), frozenset({"qenc"}))
 
 
 def test_every_scheme_roundtrips_exhaustively_at_small_width():
