@@ -121,16 +121,21 @@ class HadamardDistinguisher:
 
     def __init__(self, msg_qubits: int):
         self.m = msg_qubits
+        self._challenge = None
 
     def challenge(self, rand: Rand, oracle=None) -> QindChallenge:
-        plus = StateVector.zero(self.m)
-        minus = StateVector.basis(self.m, (1 << self.m) - 1)
-        for j in range(self.m):
-            plus = apply_gate(plus, "H", [j])
-            minus = apply_gate(minus, "H", [j])
-        return QindChallenge.product(plus.density(), minus.density())
+        # the arms draw nothing, so one pure pair serves every trial
+        if self._challenge is None:
+            plus = StateVector.zero(self.m)
+            minus = StateVector.basis(self.m, (1 << self.m) - 1)
+            for j in range(self.m):
+                plus = apply_gate(plus, "H", [j])
+                minus = apply_gate(minus, "H", [j])
+            self._challenge = QindChallenge.product(plus, minus)
+        return self._challenge
 
-    def distinguish(self, state: DensityMatrix, env_qubits: int, classical, rand: Rand, oracle=None) -> int:
+    def distinguish(self, state: StateVector | DensityMatrix, env_qubits: int, classical,
+                    rand: Rand, oracle=None) -> int:
         core = list(range(env_qubits, state.n_qubits))
         out = state
         for q in core:

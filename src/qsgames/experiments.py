@@ -25,7 +25,7 @@ from . import fiatshamir as fs
 from .bits import BitString
 from .oram import OramParams, oram_init
 from .qoram import qoram_init
-from .quantum import DensityMatrix, StateVector, apply_gate, measure_computational
+from .quantum import StateVector, apply_gate, measure_computational
 from .rng import BlumMicaliPrng, Rand
 
 DEFAULT_SEED = 7
@@ -140,7 +140,7 @@ class _SameArms:
         self.distinguish = distinguisher.distinguish
 
     def challenge(self, rand, oracle=None):
-        arm = DensityMatrix.random_pure(self.m, rand)
+        arm = StateVector.random(self.m, rand)
         return games.QindChallenge.product(arm, arm)
 
 

@@ -138,7 +138,7 @@ class OracleSet:
         self.phase = 1
         self.challenge_ct: Ciphertext | None = None
 
-    def enc(self, m: BitString | DensityMatrix):
+    def enc(self, m: BitString | StateVector | DensityMatrix):
         if "enc" not in self._grants:
             raise GameProtocolError("encryption oracle not granted in this game")
         return self._scheme.enc(self._key, m, rand=self._rand)
@@ -198,9 +198,9 @@ class QindChallenge:
 
     msg_qubits: int
     env_qubits: int = 0
-    arm0: DensityMatrix | None = None
-    arm1: DensityMatrix | None = None
-    joint: DensityMatrix | None = None
+    arm0: StateVector | DensityMatrix | None = None
+    arm1: StateVector | DensityMatrix | None = None
+    joint: StateVector | DensityMatrix | None = None
 
     def __post_init__(self):
         if self.joint is not None:
@@ -211,13 +211,13 @@ class QindChallenge:
             raise ValueError("provide either both arms or a joint state")
 
     @classmethod
-    def product(cls, arm0: DensityMatrix, arm1: DensityMatrix) -> "QindChallenge":
+    def product(cls, arm0: StateVector | DensityMatrix, arm1: StateVector | DensityMatrix) -> "QindChallenge":
         if arm0.n_qubits != arm1.n_qubits:
             raise ValueError("challenge plaintext dimensions differ")
         return cls(arm0.n_qubits, 0, arm0=arm0, arm1=arm1)
 
     @classmethod
-    def entangled(cls, joint: DensityMatrix, env_qubits: int, msg_qubits: int) -> "QindChallenge":
+    def entangled(cls, joint: StateVector | DensityMatrix, env_qubits: int, msg_qubits: int) -> "QindChallenge":
         return cls(msg_qubits, env_qubits, joint=joint)
 
 
@@ -249,9 +249,7 @@ def game_qind(scheme, adversary, rand: Rand, challenge_form: str = "states",
             state = partial_trace(joint, keep)
     elif challenge_form == "descriptions":
         desc0, desc1 = adversary.challenge(rand, oracle)
-        built = build_from_description(desc1 if b else desc0)
-        phi = built.density() if isinstance(built, StateVector) else built
-        qc = scheme.enc(key, phi, rand=rand)
+        qc = scheme.enc(key, build_from_description(desc1 if b else desc0), rand=rand)
         state, env, r = qc.payload, 0, qc.r
     else:
         raise ValueError(f"unknown challenge form {challenge_form!r}")

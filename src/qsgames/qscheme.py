@@ -15,8 +15,9 @@ Two constructions, each a classical scheme plus how it acts on qubits:
     permutation unitary and decryption by its adjoint.
 
 All operate on DensityMatrix plaintexts so entangled inputs (supplied
-as joint states, encrypted on a register) work throughout.  `enc` is
-`enc_on` over the whole register, whose width check is the only one.
+as joint states, encrypted on a register) work throughout; a pure one
+may be a StateVector, and its ciphertext stays one.  `enc` is `enc_on`
+over the whole register, whose width check is the only one.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from .bits import BitString
 from .quantum import (
     DensityMatrix,
+    StateVector,
     apply_unitary,
     partial_trace,
     qotp_apply,
@@ -37,7 +39,7 @@ from .schemes import GoldreichScheme, PkesOwtpScheme, fresh_r, require_enc_perm
 
 @dataclass
 class QCiphertext:
-    payload: DensityMatrix
+    payload: StateVector | DensityMatrix
     r: BitString | None = None  # the classical part: randomness or the seed's image
 
 
@@ -48,7 +50,7 @@ class _RegisterScheme:
     def key_gen(self, rand: Rand):
         return self.inner.key_gen(rand)
 
-    def enc(self, key, phi: DensityMatrix, rand: Rand = None, r=None) -> QCiphertext:
+    def enc(self, key, phi: StateVector | DensityMatrix, rand: Rand = None, r=None) -> QCiphertext:
         payload, _, r = self.enc_on(key, phi, range(phi.n_qubits), rand, r)
         return QCiphertext(payload, r=r)
 
@@ -66,10 +68,10 @@ class PadScheme(_RegisterScheme):
         self.n_qubits = n_qubits
         self.ciphertext_qubits = n_qubits
 
-    def dec(self, key, qc: QCiphertext) -> DensityMatrix:
+    def dec(self, key, qc: QCiphertext) -> StateVector | DensityMatrix:
         return qotp_apply(self.inner.decapsulate(key, qc.r), qc.payload)
 
-    def enc_on(self, key, joint: DensityMatrix, targets: list[int], rand: Rand = None, r=None):
+    def enc_on(self, key, joint: StateVector | DensityMatrix, targets: list[int], rand: Rand = None, r=None):
         """Encrypt a register of a joint state in place.
 
         Returns (new joint state, ciphertext register indices, r).
@@ -113,20 +115,20 @@ class Type2LiftScheme(_RegisterScheme):
         perm, _ = self.inner.enc_perm(key, r)
         return type2_oracle(perm)
 
-    def dec(self, key, qc: QCiphertext) -> DensityMatrix:
+    def dec(self, key, qc: QCiphertext) -> StateVector | DensityMatrix:
         full = apply_unitary(qc.payload, self._unitary(key, qc.r).inverted())
         if not self.ancilla_qubits:
             return full
         return partial_trace(full, list(range(self.n_qubits)))
 
-    def enc_on(self, key, joint: DensityMatrix, targets: list[int],
+    def enc_on(self, key, joint: StateVector | DensityMatrix, targets: list[int],
                rand: Rand = None, r: BitString = None):
         self._check_register(targets)
         # a scheme without randomness (the pad) carries r = None
         r = fresh_r(self.r_bits, rand, r) if self.r_bits else None
         state, targets = joint, list(targets)
         if self.ancilla_qubits:
-            state = joint.tensor(DensityMatrix.basis(self.ancilla_qubits, 0))
+            state = joint.tensor(type(joint).basis(self.ancilla_qubits, 0))
             targets += range(joint.n_qubits, state.n_qubits)
         return apply_unitary(state, self._unitary(key, r), targets), targets, r
 

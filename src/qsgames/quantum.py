@@ -152,8 +152,7 @@ class DensityMatrix:
     def random_mixed(cls, n_qubits: int, rand: Rand, env_qubits: int = None) -> "DensityMatrix":
         """Reduced state of a random purification on n + env qubits."""
         env = n_qubits if env_qubits is None else env_qubits
-        joint = StateVector.random(n_qubits + env, rand).density()
-        return partial_trace(joint, list(range(n_qubits)))
+        return partial_trace(StateVector.random(n_qubits + env, rand), list(range(n_qubits)))
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         _check_density_cap(self.n_qubits + other.n_qubits)
@@ -435,8 +434,9 @@ def qotp_average(state: DensityMatrix) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
-def partial_trace(dm: DensityMatrix, keep: list[int]) -> DensityMatrix:
+def partial_trace(state, keep: list[int]) -> DensityMatrix:
     """Reduce to the kept qubits (original relative order preserved)."""
+    dm = state.density() if isinstance(state, StateVector) else state
     if not keep:
         raise ValueError("keep set must be non-empty")
     n = dm.n_qubits
@@ -556,7 +556,7 @@ def build_from_description(desc: CircuitDescription):
             state = apply_gate(state, name, targets)
     if sorted(desc.out) == list(range(desc.wires)):
         return state
-    return partial_trace(state.density(), desc.out)
+    return partial_trace(state, desc.out)
 
 
 # ---------------------------------------------------------------------------

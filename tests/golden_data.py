@@ -56,9 +56,9 @@ def report_text(name: str, trials: int, seed: int, overrides: dict | None = None
     return json.dumps(payload, sort_keys=True)
 
 
-def catalog_report(name: str, max_trials: int = MAX_TRIALS) -> str:
+def catalog_report(name: str, max_trials: int = MAX_TRIALS, overrides: dict | None = None) -> str:
     trials = TRIALS.get(name, min(max_trials, experiments.get(name).defaults["trials"]))
-    return report_text(name, trials, SEED) + "\n"
+    return report_text(name, trials, SEED, overrides) + "\n"
 
 
 def catalog_reports() -> dict[str, str]:

@@ -1,6 +1,7 @@
 """Property tests for the tree-ORAM core shared by both ORAMs, the
-quantum kernels on its hot path, the permutation and oracle algebra,
-and the parsing of experiment parameters.
+quantum kernels on its hot path, the pure-state path of the quantum
+challenge games, the permutation and oracle algebra, and the parsing of
+experiment parameters.
 
 Example counts are bounded and the search is derandomized, so the
 suite stays fast and every run checks the same cases.
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsgames import games, quantum
+from qsgames import attacks, games, qscheme, quantum, schemes
 from qsgames.bits import BitString
 from qsgames.cli import load_config, parse_params
 from qsgames.oram import (
@@ -342,6 +343,83 @@ def test_permutation_op_matches_dense_reference(kind, n, seed, data):
     out = apply_gate(state, op, targets)
     assert np.array_equal(array(out), reference_dense_apply(state, dense, targets))
     assert np.array_equal(array(apply_gate(out, op.inverted(), targets)), array(state))
+
+
+@st.composite
+def pure_circuits(draw, n: int):
+    """Up to six steps on n qubits: H, X, CNOT, a basis permutation on a
+    few qubits, and at most one in-place encryption that appends an
+    r-qubit ancilla, as (name, targets, argument) tuples."""
+    steps, width, lifted = [], n, False
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = ["H", "X", "perm"] + ["CNOT"] * (width > 1) + ["lift"] * (not lifted and width < 7)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "lift":
+            m = draw(st.integers(1, min(width, 3)))
+            r = draw(st.integers(1, 7 - width))
+            steps.append((kind, draw(st.permutations(range(width)))[:m], (m, r, draw(st.integers(0, 2**16)))))
+            width, lifted = width + r, True
+        elif kind == "perm":
+            k = draw(st.integers(1, min(width, 3)))
+            steps.append((kind, draw(st.permutations(range(width)))[:k],
+                          Permutation(k, draw(st.permutations(range(1 << k))))))
+        else:
+            k = 2 if kind == "CNOT" else 1
+            steps.append((kind, draw(st.permutations(range(width)))[:k], None))
+    return steps
+
+
+def run_pure_circuit(state, steps):
+    for kind, targets, arg in steps:
+        if kind == "lift":
+            m, r, seed = arg
+            lift = qscheme.Type2LiftScheme(schemes.PrpScheme(m, r))
+            rand = Rand(seed)
+            state, _, _ = lift.enc_on(lift.key_gen(rand), state, targets, rand)
+        else:
+            state = apply_gate(state, arg if kind == "perm" else kind, targets)
+    return state
+
+
+@bounded
+@given(st.integers(1, 4), st.integers(0, 2**16), st.data())
+def test_pure_path_matches_dense_path(n, seed, data):
+    # a statevector run through gates, permutations and an in-place
+    # encryption, then made dense, is the density-matrix run
+    vec = StateVector.random(n, Rand(seed))
+    steps = data.draw(pure_circuits(n))
+    pure, dense = run_pure_circuit(vec, steps), run_pure_circuit(vec.density(), steps)
+    assert type(pure) is StateVector and type(dense) is DensityMatrix
+    assert np.abs(pure.density().mat - dense.mat).max() <= 1e-12
+    targets = data.draw(target_lists(pure.n_qubits))
+    (got, post), (want, dense_post) = (measure_computational(s, targets, Rand(seed + 1)) for s in (pure, dense))
+    assert got == want
+    assert np.abs(post.density().mat - dense_post.mat).max() <= 1e-12
+
+
+class _DenseArms:
+    """The Hadamard distinguisher with its challenge arms made dense."""
+
+    def __init__(self, m: int):
+        self._pure = attacks.HadamardDistinguisher(m)
+        self.distinguish = self._pure.distinguish
+
+    def challenge(self, rand, oracle=None):
+        ch = self._pure.challenge(rand, oracle)
+        return games.QindChallenge.product(ch.arm0.density(), ch.arm1.density())
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pure_challenge_arms_win_as_dense_ones(m, r):
+    lift = qscheme.Type2LiftScheme(schemes.PrpScheme(m, r))
+    pure, dense = attacks.HadamardDistinguisher(m), _DenseArms(m)
+    for seed in range(50):
+        for b in (0, 1):
+            pure_rand, dense_rand = Rand(seed), Rand(seed)
+            won = games.game_qind(lift, pure, pure_rand, forced_b=b)
+            assert won == games.game_qind(lift, dense, dense_rand, forced_b=b), (seed, b)
+            assert pure_rand.numpy().bit_generator.state == dense_rand.numpy().bit_generator.state
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)

@@ -151,6 +151,19 @@ class TestType2Lift:
         assert np.abs(partial_trace(joint, reg).mat - lift.enc(key, phi, r=pinned).payload.mat).max() < 1e-12
         assert np.abs(partial_trace(joint, [0]).mat - env.mat).max() < 1e-12
 
+    def test_expanding_lift_keeps_a_statevector_pure(self):
+        # the ancilla is appended as a statevector, the same permutation
+        # acts on it, and decryption traces the ancilla out
+        lift = Type2LiftScheme(PrpScheme(2, 2))
+        r = Rand(12)
+        key = lift.key_gen(r)
+        phi = StateVector.random(2, r)
+        qc = lift.enc(key, phi, rand=r)
+        assert type(qc.payload) is StateVector and qc.payload.n_qubits == 4
+        dense = lift.enc(key, phi.density(), r=qc.r).payload
+        assert np.abs(qc.payload.density().mat - dense.mat).max() < 1e-12
+        assert trace_distance(lift.dec(key, qc), phi.density()) < 1e-10
+
     def test_scheme_without_permutation_form_rejected(self):
         class NoPerm:
             name = "bare"

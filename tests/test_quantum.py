@@ -301,6 +301,11 @@ class TestPartialTrace:
             assert abs(np.trace(red.mat) - 1) < 1e-10
             red.validate()
 
+    def test_statevector_reduces_through_its_density_matrix(self):
+        vec = StateVector.random(3, Rand(7))
+        for keep in ([0], [1, 2], [0, 2], [0, 1, 2]):
+            assert np.array_equal(partial_trace(vec, keep).mat, partial_trace(vec.density(), keep).mat)
+
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(maximally_mixed(2), [])
@@ -400,6 +405,15 @@ class TestPickOutcome:
         probs = np.array([0.0, 0.5, 0.5, 0.0])
         assert _pick_outcome(probs, _FixedDraw(0.0), None) == 1
         assert _pick_outcome(probs, _FixedDraw(np.nextafter(1.0, 0.0)), None) == 2
+
+    def test_subnormal_total_falls_back_to_the_last_weighted_outcome(self):
+        # a draw just below 1 times a total at or below the smallest
+        # normal double rounds back up to the total, so the search runs
+        # past the end; this is the only way to reach the fallback
+        probs = np.array([0.0, 1e-310, 0.0])
+        top = np.nextafter(1.0, 0.0)
+        assert np.searchsorted(np.cumsum(probs), top * probs.sum(), side="right") == len(probs)
+        assert _pick_outcome(probs, _FixedDraw(top), None) == 1
 
 
 class TestQotp:
