@@ -389,7 +389,8 @@ class _FixedDraw:
 class TestPickOutcome:
     def test_draw_just_below_one_stays_in_range(self):
         # outcome vectors whose running sum ends below their total, far
-        # enough that a draw just below 1 lands past the last entry
+        # enough that a draw just below 1 scaled by the total would land
+        # past the last entry; scaled by the last running sum it cannot
         gen = np.random.default_rng(0)
         top = np.nextafter(1.0, 0.0)
         short = [
