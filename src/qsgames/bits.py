@@ -44,14 +44,9 @@ class BitString:
         return _unchecked((self.value << other.width) | other.value, self.width + other.width)
 
     def split(self, left_width: int) -> tuple["BitString", "BitString"]:
-        """Split into (first left_width bits, remainder)."""
-        if not 0 < left_width < self.width:
-            raise ValueError("split width out of range")
-        right_width = self.width - left_width
-        return (
-            _unchecked(self.value >> right_width, left_width),
-            _unchecked(self.value & ((1 << right_width) - 1), right_width),
-        )
+        """Split into (first left_width bits, remainder); take and drop
+        both accept left_width exactly when 0 < left_width < width."""
+        return self.take(left_width), self.drop(left_width)
 
     def take(self, n: int) -> "BitString":
         """First n bits (most significant end)."""

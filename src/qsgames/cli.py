@@ -113,7 +113,8 @@ def list_catalog() -> int:
     return 0
 
 
-def _summarize_file(path: Path):
+def _summarize_file(path: Path) -> dict:
+    """The summary row of a .json or .csv report."""
     try:
         if path.suffix == ".json":
             obj = json.loads(path.read_text())
@@ -123,18 +124,16 @@ def _summarize_file(path: Path):
                 "ci95": f"{obj['ci95']:.4f}",
                 "pass": str(obj["pass"]),
             }
-        if path.suffix == ".csv":
-            rows = list(csv.DictReader(path.read_text().splitlines()))
-            row = rows[0]
-            return {
-                "experiment": row["experiment"],
-                "advantage": f"{float(row['advantage']):+.4f}",
-                "ci95": f"{float(row['ci95']):.4f}",
-                "pass": row["pass"],
-            }
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        row = rows[0]
+        return {
+            "experiment": row["experiment"],
+            "advantage": f"{float(row['advantage']):+.4f}",
+            "ci95": f"{float(row['ci95']):.4f}",
+            "pass": row["pass"],
+        }
     except Exception as err:  # noqa: BLE001 - unreadable files become error rows
         return {"experiment": path.name, "advantage": "-", "ci95": "-", "pass": f"ERROR: {err}"}
-    return None
 
 
 def report_suite(directory: str, out_path: str | None = None) -> int:
@@ -143,13 +142,7 @@ def report_suite(directory: str, out_path: str | None = None) -> int:
     except OSError as err:
         print(f"cannot read the report directory: {err}", file=sys.stderr)
         return 2
-    rows = []
-    for path in paths:
-        if path.suffix not in (".json", ".csv"):
-            continue
-        row = _summarize_file(path)
-        if row is not None:
-            rows.append(row)
+    rows = [_summarize_file(path) for path in paths if path.suffix in (".json", ".csv")]
     passed = sum(1 for r in rows if r["pass"] == "True")
     header = ["experiment", "advantage", "ci95", "pass"]
     widths = [max([len(h)] + [len(r[h]) for r in rows]) for h in header]

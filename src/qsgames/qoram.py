@@ -33,6 +33,11 @@ stored block never changes, so a view read late equals one read at
 once.  Bucket views, snapshots and transcripts hold BlockDigests, so
 the access-pattern game digests only the blocks its adversary reads.
 The safe extractor's report is a plain dict, computed when it is made.
+
+A block also keeps the Pauli masks it was encoded under, so its own
+codec decodes it without a PRF evaluation and keeps no memo of pads by
+r.  oram.SkesCodec keeps such a memo: its blocks are plain (body, r)
+pairs, the adversary's views, which cannot carry masks or a message.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import numpy as np
 from .bits import BitString, _unchecked
 from .oram import (ClientState, DataRequest, OramParams, ProtocolAbort, ServerDB, Transcript, tree_access, tree_init,
                    views_digest)
+from .prf import make_prf
 from .qscheme import Skqes1Scheme
 from .quantum import DensityMatrix, _check_density_cap, qotp_apply
 from .rng import Rand
@@ -61,9 +67,11 @@ class QuantumBlock:
     tag: int  # t ^ a: the masked tag register, a basis state
     data: DensityMatrix  # the masked data register
     r: BitString  # 2 * n_msg bits, so r.width // 2 is the block's qubit count
-    # the digest once computed; not an __init__ argument, so that
+    # the digest once computed, and (codec, tag flip, data pad) as the codec
+    # that made the block computed them; not __init__ arguments, so that
     # dataclasses.replace builds a block that computes its own
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    _masks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def digest(self) -> str:
         """blake2b over the rounded float view of the dense ciphertext,
@@ -114,15 +122,22 @@ class BlockDigests(Sequence):
 
 class QuantumCodec:
     """Blocks as Skqes1Scheme ciphertexts of (tag register || data
-    register) in product form.  A path's r values come from one batched
-    draw, the stream of one Rand.bits call per block.  An empty's |0><0|
-    masks to the basis state of the pad's X bits, up to the signs of
-    zeros, which digests and decoding make positive; so an empty's data
-    register is built as that basis state.  Decoding draws once per
-    block, as the tag measurement does.  The pad memo maps each r that
-    blocks this codec encoded hold to its masks and the number of those
-    blocks (r has only 2 * n_msg bits); a miss, such as a tampered
-    block, recomputes the pad, a pure function of (key, r).
+    register) in product form, masked by the scheme's pad F_k(r), whose
+    PRF is keyed once per client, as SkesCodec's is.  A path's r values
+    come from one batched draw, the stream of one Rand.bits call per
+    block.  An empty's |0><0| masks to the basis state of the pad's X
+    bits, up to the signs of zeros, which digests and decoding make
+    positive; so an empty's data register is built as that basis state.
+    Decoding draws once per block, as the tag measurement does.
+
+    A block keeps the masks it was encoded under, with the codec that
+    made it, so decoding it costs no PRF evaluation; any other block (a
+    dataclasses.replace copy, a tampered block, another client's) gets
+    its masks from F_k(r) under this client's key.  Masks kept by r would
+    need counts, since r has only 2 * n_msg bits.  SkesCodec's memo needs
+    none, as its 32-bit r does not collide in practice; its blocks stay
+    plain (body, r) pairs because a block type would cost build time and
+    memory on each of the 8,188 blocks of a 1024-block tree's set-up.
     """
 
     def __init__(self, params: OramParams, scheme: Skqes1Scheme, key: BitString, rand: Rand):
@@ -130,52 +145,47 @@ class QuantumCodec:
         # bits) fits one 32-bit draw
         _check_density_cap(params.n_msg)
         self._params = params
-        self._scheme = scheme
-        self._key = key
+        self._prf = make_prf(key, scheme.r_bits, 2 * params.n_msg)
         self._rand = rand
         # the pad bit holding the X of each qubit, most significant first
         self._x_bits = [2 * (params.n_msg - 1 - q) + 1 for q in range(params.n_msg)]
-        self._pads: dict[int, list] = {}  # r -> [tag flip, data flip, data pad, blocks holding r]
 
-    def _masks(self, r: BitString) -> list:
-        """[tag index flip, data index flip, data register pad] of F_k(r)."""
-        pad = self._scheme.pad_for(self._key, r).value
+    def _masks(self, r: BitString) -> tuple:
+        """(tag index flip, data index flip, data register pad) of F_k(r)."""
+        pad = self._prf.eval(r).value
         flip = 0
         for bit in self._x_bits:
             flip = (flip << 1) | ((pad >> bit) & 1)
         n_dat = self._params.n_dat
-        return [flip >> n_dat, flip & ((1 << n_dat) - 1), _unchecked(pad & ((1 << 2 * n_dat) - 1), 2 * n_dat)]
+        return flip >> n_dat, flip & ((1 << n_dat) - 1), _unchecked(pad & ((1 << 2 * n_dat) - 1), 2 * n_dat)
 
     def encode_path(self, records: list) -> list:
         """One block per entry: a [tag, data register] record, or None
         for an empty."""
-        r_bits, n_dat, pads = self._scheme.r_bits, self._params.n_dat, self._pads
+        r_bits, n_dat = self._prf.in_bits, self._params.n_dat
         blocks = []
         for rec, r in zip(records, self._rand.numpy().integers(0, 1 << 32, size=len(records)).tolist()):
-            r &= (1 << r_bits) - 1
-            r_str = _unchecked(r, r_bits)
-            entry = pads.get(r)
-            if entry is None:
-                entry = pads[r] = self._masks(r_str) + [0]
-            entry[3] += 1
-            tag_flip, data_flip, data_pad, _ = entry
-            blocks.append(QuantumBlock(tag_flip, DensityMatrix.basis(n_dat, data_flip), r_str) if rec is None else
-                          QuantumBlock(rec[0] ^ tag_flip, qotp_apply(data_pad, rec[1]), r_str))
+            r_str = _unchecked(r & ((1 << r_bits) - 1), r_bits)
+            tag_flip, data_flip, data_pad = self._masks(r_str)
+            block = (QuantumBlock(tag_flip, DensityMatrix.basis(n_dat, data_flip), r_str) if rec is None else
+                     QuantumBlock(rec[0] ^ tag_flip, qotp_apply(data_pad, rec[1]), r_str))
+            block._masks = (self, tag_flip, data_pad)
+            blocks.append(block)
         return blocks
 
     def decode_path(self, blocks) -> list:
         """The [tag, data register] records of the blocks in order, empties
         left out; ProtocolAbort at the first tag above n_db.  Every tag is
         measured, which draws from the client's randomness."""
-        n_db, n_dat, pads = self._params.n_db, self._params.n_dat, self._pads
+        n_db, n_dat = self._params.n_db, self._params.n_dat
         gen = self._rand.numpy()
         records = []
         for block in blocks:
-            entry = pads.get(block.r.value) or self._masks(block.r) + [1]
-            entry[3] -= 1
-            if not entry[3]:
-                pads.pop(block.r.value, None)
-            tag_flip, _, data_pad, _ = entry
+            kept = block._masks
+            if kept is not None and kept[0] is self:
+                _, tag_flip, data_pad = kept
+            else:
+                tag_flip, _, data_pad = self._masks(block.r)
             tag = block.tag ^ tag_flip
             gen.random()  # the tag is a basis state: the measurement's one draw always picks it
             if tag > n_db:

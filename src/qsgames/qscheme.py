@@ -88,9 +88,8 @@ class Skqes1Scheme(PadScheme):
 
     def __init__(self, n_qubits: int, key_bits: int | None = None):
         super().__init__(GoldreichScheme(2 * n_qubits, key_bits=key_bits), n_qubits)
-        self.pad_bits = self.r_bits = 2 * n_qubits
+        self.r_bits = 2 * n_qubits
         self.key_bits = self.inner.key_bits
-        self.pad_for = self.inner.pad  # QuantumCodec's hook
 
 
 class Type2LiftScheme(_RegisterScheme):

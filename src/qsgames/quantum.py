@@ -169,17 +169,15 @@ def maximally_mixed(n_qubits: int) -> DensityMatrix:
 class UnitaryOp:
     n_qubits: int
     matrix: np.ndarray
-    check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         dim = 1 << self.n_qubits
         if self.matrix.shape != (dim, dim):
             raise ValueError("matrix has wrong shape")
-        if self.check:
-            err = np.abs(self.matrix @ self.matrix.conj().T - np.eye(dim)).max()
-            if err > ATOL_UNITARY:
-                raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
+        err = np.abs(self.matrix @ self.matrix.conj().T - np.eye(dim)).max()
+        if err > ATOL_UNITARY:
+            raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ Scheme interface (duck-typed):
     key_gen(rand) -> key
     enc(key, m, rand=None, r=None) -> Ciphertext   (pass r to pin randomness; see fresh_r)
     dec(key, c) -> BitString
-    msg_bits, name, randomized
+    msg_bits, name
 
 Schemes whose pinned-randomness encryption is a bijection additionally
 expose enc_perm(key, r) -> (Permutation, plaintext_bits), the one hook
@@ -83,8 +83,6 @@ def require_enc_perm(scheme) -> None:
 class OtpScheme:
     """XOR pad on n bits; deterministic, key length = message length."""
 
-    randomized = False
-
     def __init__(self, msg_bits: int):
         self.name = "otp"
         self.msg_bits = msg_bits
@@ -121,8 +119,6 @@ class GoldreichScheme:
     PRF, and quasi-length-preserving, hence the canonical target of the
     Hadamard distinguisher once lifted to a quantum scheme.
     """
-
-    randomized = True
 
     def __init__(self, msg_bits: int, r_bits: int | None = None, key_bits: int | None = None):
         self.name = "skes-goldreich"
@@ -171,8 +167,6 @@ class PrpScheme:
     """Enc_k(x) = P_k(x || r): message expands by r_bits, key selects an
     ideal tabulated permutation on msg_bits + r_bits."""
 
-    randomized = True
-
     def __init__(self, msg_bits: int, r_bits: int, key_bits: int = 16):
         if r_bits < 1:
             raise ValueError(f"r_bits must be at least 1, got {r_bits}")
@@ -214,8 +208,6 @@ def _xor_index(bits: int, mask: int):
 
 class PrpModeScheme:
     """Blockwise mode: l independent PrpScheme blocks, fresh r per block."""
-
-    randomized = True
 
     def __init__(self, block: PrpScheme, blocks: int):
         self.name = "skes-prp-mode"
@@ -272,8 +264,6 @@ class Cca1Key:
 class Cca1SepScheme:
     """Paired-ciphertext scheme: encrypting the hidden message leaks the
     key in the second half, so one swap-and-decrypt query breaks it."""
-
-    randomized = True
 
     def __init__(self, base: GoldreichScheme | None = None, msg_bits: int = 8):
         self.base = base or GoldreichScheme(msg_bits)
@@ -412,8 +402,6 @@ def goldreich_levin_prng(seed: BitString, owp: OwpHandle, out_bits: int | None =
 class PkesOwtpScheme:
     """Public-key scheme: pad from the iterated-hardcore generator of a
     trapdoor permutation, image of the seed sent alongside."""
-
-    randomized = True
 
     def __init__(self, msg_bits: int, modulus_bits: int = 16):
         self.name = "pkes-owtp"

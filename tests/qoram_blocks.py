@@ -28,4 +28,7 @@ def dense_cipher(params, block) -> QCiphertext:
 
 
 def with_r(block, r: int):
+    """The block under randomness r.  dataclasses.replace does not copy
+    the masks and digest a block keeps, so the copy is decrypted under
+    F_k(r) and digested afresh, as a tampered block is."""
     return replace(block, r=BitString(r, block.r.width))

@@ -60,6 +60,20 @@ def test_concat_split_take_drop():
     assert c.drop(3) == b
 
 
+def test_take_drop_split_reject_widths_out_of_range():
+    # take keeps 1..width bits, drop removes 0..width-1, and split needs both
+    c = BitString(0b10101, 5)
+    for n in (0, 6, -1):
+        with pytest.raises(ValueError, match="take width out of range"):
+            c.take(n)
+    for n in (5, 6, -1):
+        with pytest.raises(ValueError, match="drop width out of range"):
+            c.drop(n)
+    for n in (0, 5, 6, -1):
+        with pytest.raises(ValueError, match="width out of range"):
+            c.split(n)
+
+
 def test_invert():
     b = BitString(0b0110, 4)
     assert (~b).value == 0b1001

@@ -233,6 +233,10 @@ class TestRunCli:
         err = capsys.readouterr().err
         assert "'foo'" in err and "otp" in err and "goldreich" in err
 
+    def test_no_arguments_print_the_help(self, capsys):
+        assert cli.main([]) == 2
+        assert "usage: qsgames" in capsys.readouterr().out
+
     def test_list(self, capsys):
         assert cli.main(["--list"]) == 0
         out = capsys.readouterr().out
@@ -261,6 +265,14 @@ class TestReportSuite:
                   "--out", str(tmp_path / "b.csv"), "--format", "csv"])
         assert cli.report_suite(str(tmp_path)) == 0
         assert "2/2" in capsys.readouterr().out
+
+    def test_other_suffixes_are_left_out(self, tmp_path, capsys):
+        cli.main(["--experiment", "otp-reuse-break", "--trials", "10",
+                  "--out", str(tmp_path / "a.json")])
+        (tmp_path / "notes.txt").write_text("not a report")
+        assert cli.report_suite(str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert "1/1" in out and "notes" not in out
 
     def test_unreadable_file_is_error_row(self, tmp_path, capsys):
         (tmp_path / "junk.json").write_text("{not json")

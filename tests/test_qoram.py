@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qoram_blocks import dense_cipher
+from qoram_blocks import dense_cipher, with_r
 from qsgames import experiments, oram
 from qsgames.bits import BitString
 from qsgames.oram import OramParams, ProtocolAbort, views_digest
 from qsgames.prf import IdealPrf
 from qsgames.qoram import (
     QuantumBlock,
+    QuantumCodec,
     QuantumDataRequest,
     qoram_access,
     qoram_init,
@@ -160,38 +161,108 @@ class TestCosts:
             requests.append(QuantumDataRequest("write" if payload else "read", rid, payload))
         return requests
 
+    @staticmethod
+    def counted_evals(monkeypatch) -> dict:
+        """Counts of the IdealPrf evaluations made from now on: "all" of
+        them, and those "decoding", made inside QuantumCodec.decode_path."""
+        counts, inside = {"all": 0, "decoding": 0}, [False]
+        evaluate, decode = IdealPrf.eval, QuantumCodec.decode_path
+
+        def counted_eval(prf, x):
+            counts["all"] += 1
+            counts["decoding"] += inside[0]
+            return evaluate(prf, x)
+
+        def counted_decode(codec, blocks):
+            inside[0] = True
+            try:
+                return decode(codec, blocks)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(IdealPrf, "eval", counted_eval)
+        monkeypatch.setattr(QuantumCodec, "decode_path", counted_decode)
+        return counts
+
     @pytest.mark.parametrize("n_db", [2, 16])
     def test_prf_evals_per_access(self, monkeypatch, n_db):
         # a set-up encodes every block of the tree once, and an access
-        # re-encodes its path; decoding reuses the pads the codec computed
-        # when it encoded the blocks
-        calls = []
-        uncounted = IdealPrf.eval
-
-        def counted(prf, x):
-            calls.append(x)
-            return uncounted(prf, x)
-
-        monkeypatch.setattr(IdealPrf, "eval", counted)
-        client, server = fresh(n_db=n_db, seed=14)
+        # re-encodes its path, one evaluation per block; decoding a block
+        # this codec made uses the masks the block kept, and evaluates none
+        counts = self.counted_evals(monkeypatch)
+        client, server = fresh(n_db=n_db, seed=16)
         path_blocks = (client.params.n_tree + 1) * server.n_bkt
-        assert 0 < len(calls) <= server.node_count * server.n_bkt  # 12 at n_db=2, 124 at 16
-        for qdr in self.accesses(client.params, 40, 15):
-            before = len(calls)
+        assert counts == {"all": server.node_count * server.n_bkt, "decoding": 0}  # 12 at n_db=2, 124 at 16
+        for qdr in self.accesses(client.params, 200, 17):
+            before = counts["all"]
             qoram_access(client, server, qdr)
-            assert len(calls) - before <= path_blocks  # 8 at n_db=2, 20 at 16
+            assert counts["all"] - before == path_blocks  # 8 at n_db=2, 20 at 16
+        assert counts["decoding"] == 0
 
     @pytest.mark.parametrize("n_db", [2, 16])
-    def test_pad_memo_holds_at_most_one_pad_per_stored_block(self, n_db):
-        # the memo counts the stored blocks holding each r; decoding drops
-        # a pad once no stored block holds its r
+    def test_replaced_block_decodes_through_one_prf_eval(self, monkeypatch, n_db):
+        # dataclasses.replace drops the kept masks: the copy is decrypted
+        # under F_k(r), with the same r or another one
         client, server = fresh(n_db=n_db, seed=16)
-        for qdr in self.accesses(client.params, 200, 17):
+        codec, payload = client.codec, DensityMatrix.random_mixed(client.params.n_dat, Rand(18))
+        block = codec.encode_path([[1, payload]])[0]
+        counts = self.counted_evals(monkeypatch)
+        own = codec.decode_path([block])
+        assert counts["decoding"] == 0
+        same = codec.decode_path([with_r(block, block.r.value)])
+        assert counts["decoding"] == 1
+        assert [(t, d.mat.tobytes()) for t, d in same] == [(t, d.mat.tobytes()) for t, d in own]
+        assert own[0][0] == 1 and trace_distance(own[0][1], payload) < 1e-10
+        moved = with_r(block, block.r.value ^ 1)
+        tag = _tag(client, moved)  # under F_k(r ^ 1), read off the dense decryption: 0 at n_db=2, 8 at 16
+        assert [t for t, _ in codec.decode_path([moved])] == ([tag] if tag else []) and counts["decoding"] == 2
+
+    @pytest.mark.parametrize("n_db", [2, 16])
+    def test_another_clients_block_decodes_under_this_clients_key(self, monkeypatch, n_db):
+        # a bucket another client's codec made, stored at this tree's root,
+        # decodes as its replace copy with the same r does: through F_k(r)
+        # under this client's key, one evaluation per block decoded.  Under
+        # that key its tags are random, so decoding stops at the first one
+        # above n_db
+        foreign = fresh(n_db=n_db, seed=31)[1].nodes[0]
+        counts = self.counted_evals(monkeypatch)
+        outcomes = []
+        for bucket in (foreign, tuple(with_r(block, block.r.value) for block in foreign)):
+            client, server = fresh(n_db=n_db, seed=16)
+            server.store(0, bucket, client.codec.view(bucket))
+            counts["decoding"] = 0
+            try:
+                qoram_access(client, server, QuantumDataRequest("read", 1))
+                outcome = [client.retrieved.mat.tobytes(), [(t, d.mat.tobytes()) for t, d in client.stash],
+                           list(server.views)]
+            except ProtocolAbort as err:
+                outcome = str(err)
+            outcomes.append((outcome, counts["decoding"], client.rand.numpy().bit_generator.state))
+        tags = [_tag(client, block) for block in foreign]
+        decoded = next((i + 1 for i, tag in enumerate(tags) if tag > n_db), len(tags))
+        assert outcomes[0] == outcomes[1] and outcomes[0][1] == decoded
+
+    def test_prf_is_keyed_once_per_client(self, monkeypatch):
+        # both codecs key their PRF at set-up and evaluate it from then on
+        keyed = []
+        init = IdealPrf.__init__
+
+        def counted(prf, *args):
+            keyed.append(prf)
+            init(prf, *args)
+
+        monkeypatch.setattr(IdealPrf, "__init__", counted)
+        params = OramParams(n_db=4, n_dat=1)
+        client, server = oram.oram_init(params, Rand(19))
+        gen = Rand(20).numpy()
+        for _ in range(40):
+            rid, data = int(gen.integers(1, params.n_db + 1)), BitString(int(gen.integers(2)), 1)
+            oram.oram_access(client, server, oram.DataRequest("write" if gen.random() < 0.5 else "read", rid, data))
+        assert len(keyed) == 1
+        client, server = qoram_init(params, Rand(19))
+        for qdr in self.accesses(params, 40, 20):
             qoram_access(client, server, qdr)
-        pads = client.codec._pads
-        stored = [b.r.value for bucket in server.nodes for b in bucket]
-        assert len(pads) <= server.node_count * server.n_bkt
-        assert {r: entry[-1] for r, entry in pads.items()} == {r: stored.count(r) for r in set(stored)}
+        assert len(keyed) == 2
 
     def test_no_register_wider_than_the_data_register(self, monkeypatch):
         # blocks are a tag index and a 2^n_dat matrix: no density matrix of

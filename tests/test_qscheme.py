@@ -50,7 +50,7 @@ class TestSkqes1:
         rr = BitString(0, scheme.r_bits)
         phi = DensityMatrix.basis(2, 0)
         out = scheme.enc(key, phi, r=rr)
-        expect = qotp_apply(scheme.pad_for(key, rr), phi)
+        expect = qotp_apply(scheme.inner.pad(key, rr), phi)
         assert trace_distance(out.payload, expect) < 1e-12 and out.r == rr
 
     def test_ciphertext_marginal_over_all_pads_is_mixed(self):
@@ -78,8 +78,8 @@ class TestSkqes1:
             key = keys[i % len(keys)]
             phi = DensityMatrix.random_pure(n_qubits, rand)
             r = rand.bits(scheme.r_bits)
-            pad = make_prf(key, scheme.r_bits, scheme.pad_bits).eval(r)
-            assert scheme.pad_for(key, r) == pad
+            pad = make_prf(key, scheme.r_bits, scheme.r_bits).eval(r)
+            assert scheme.inner.pad(key, r) == pad
             c = scheme.enc(key, phi, r=r)
             assert c.payload.mat.tobytes() == qotp_apply(pad, phi).mat.tobytes()
             back = scheme.dec(key, QCiphertext(phi, r=r))
@@ -102,7 +102,7 @@ class TestSkqes1:
         bell = apply_gate(apply_gate(StateVector.zero(2), "H", [0]), "CNOT", [0, 1]).density()
         joint, reg, rr = scheme.enc_on(key, bell, [1], rand=Rand(8))
         # decrypting the register restores the joint state exactly
-        pad = scheme.pad_for(key, rr)
+        pad = scheme.inner.pad(key, rr)
         restored = joint
         if pad.bit(0):
             restored = apply_gate(restored, "X", [1])
