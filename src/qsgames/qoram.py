@@ -19,25 +19,24 @@ Blocks are stored in product form.  A plaintext block is |t><t| (x) rho,
 and a Pauli mask X^a Z^b keeps that form: the Z signs cancel on the
 diagonal tag projector, leaving |t^a><t^a|, and the pad's last 2*n_dat
 bits mask rho (the quantum one-time pad of Ambainis, Mosca, Tapp and de
-Wolf, arXiv:quant-ph/0003101).  So a QuantumBlock is the masked tag
-index, the masked 2^n_dat data matrix and r.  This is exact: encryption
-acts blockwise, the tree holds no cross-block entanglement, and
-measuring a basis-state tag picks it with certainty and leaves the data
-register renormalized by its trace.  The draws and bytes are those of
-dense 2^n_msg-dimensional blocks: the measurement still draws once, and
-a digest hashes the dense ciphertext.
+Wolf, arXiv:quant-ph/0003101).  So a block's ciphertext is the masked
+tag index, the masked 2^n_dat data matrix and r.  This is exact:
+encryption acts blockwise, the tree holds no cross-block entanglement,
+and measuring a basis-state tag picks it with certainty and leaves the
+data register renormalized by its trace.  The draws and bytes are those
+of dense 2^n_msg-dimensional blocks: the measurement still draws once,
+and a digest hashes the dense ciphertext.
 
-A block's view is its ciphertext digest, computed when first read and
-kept on the block (call-by-need; Henderson and Morris, POPL 1976): a
-stored block never changes, so a view read late equals one read at
-once.  Bucket views, snapshots and transcripts hold BlockDigests, so
-the access-pattern game digests only the blocks its adversary reads.
-The safe extractor's report is a plain dict, computed when it is made.
-
-A block also keeps the Pauli masks it was encoded under, so its own
-codec decodes it without a PRF evaluation and keeps no memo of pads by
-r.  oram.SkesCodec keeps such a memo: its blocks are plain (body, r)
-pairs, the adversary's views, which cannot carry masks or a message.
+A block the codec made holds its plaintext (tag, data register) and r,
+and is sealed, its masked tag and data computed under F_k(r), when
+something first reads them; so is its view, the ciphertext digest
+(call-by-need; Henderson and Morris, POPL 1976).  A stored block never
+changes and nobody writes a register in place, so a value read late
+equals one computed at once.  Bucket views, snapshots and transcripts
+hold BlockDigests, so the access-pattern game seals and digests only the
+blocks its adversary reads, and the codec decodes its own blocks from
+their plaintext with no PRF evaluation.  The safe extractor's report is
+a plain dict, computed when it is made.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quantum
 from .bits import BitString, _unchecked
 from .oram import (ClientState, DataRequest, OramParams, ProtocolAbort, ServerDB, Transcript, tree_access, tree_init,
                    views_digest)
@@ -62,16 +61,26 @@ from .rng import Rand
 QuantumDataRequest = DataRequest
 
 
-@dataclass(slots=True)
 class QuantumBlock:
-    tag: int  # t ^ a: the masked tag register, a basis state
-    data: DensityMatrix  # the masked data register
-    r: BitString  # 2 * n_msg bits, so r.width // 2 is the block's qubit count
-    # the digest once computed, and (codec, tag flip, data pad) as the codec
-    # that made the block computed them; not __init__ arguments, so that
-    # dataclasses.replace builds a block that computes its own
-    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
-    _masks: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    """A block's ciphertext: the masked tag t ^ a, a basis state; the
+    masked data register; and r, 2 * n_msg bits, so r.width // 2 is the
+    block's qubit count.  A block built with `plain`, the (codec, tag,
+    data register) of its plaintext, with None for an empty's register,
+    computes its tag and data through the codec when first read and keeps
+    them, as it keeps its digest."""
+
+    __slots__ = ("_tag", "_data", "r", "_plain", "_digest")
+
+    def __init__(self, tag: int | None, data: DensityMatrix | None, r: BitString, plain: tuple | None = None):
+        self._tag, self._data, self.r, self._plain, self._digest = tag, data, r, plain, None
+
+    def _sealed(self) -> "QuantumBlock":
+        if self._tag is None:
+            self._tag, self._data = self._plain[0].seal(*self._plain[1:], self.r)
+        return self
+
+    tag = property(lambda self: self._sealed()._tag)
+    data = property(lambda self: self._sealed()._data)
 
     def digest(self) -> str:
         """blake2b over the rounded float view of the dense ciphertext,
@@ -120,24 +129,30 @@ class BlockDigests(Sequence):
         return repr(tuple(self))
 
 
+class DecryptionMismatch(Exception):
+    """Debug mode only: a block decrypted through F_k(r) disagrees with
+    the plaintext it holds, so the codec, not the server, is at fault."""
+
+
 class QuantumCodec:
     """Blocks as Skqes1Scheme ciphertexts of (tag register || data
     register) in product form, masked by the scheme's pad F_k(r), whose
     PRF is keyed once per client, as SkesCodec's is.  A path's r values
     come from one batched draw, the stream of one Rand.bits call per
-    block.  An empty's |0><0| masks to the basis state of the pad's X
-    bits, up to the signs of zeros, which digests and decoding make
-    positive; so an empty's data register is built as that basis state.
-    Decoding draws once per block, as the tag measurement does.
+    block.  Encoding keeps each block's plaintext; the block is sealed
+    only when read.  An empty's |0><0| masks to the basis state of the
+    pad's X bits, up to the signs of zeros, which digests and decoding
+    make positive; so an empty's data register is sealed as that basis
+    state.  Decoding draws once per block, as the tag measurement does.
 
-    A block keeps the masks it was encoded under, with the codec that
-    made it, so decoding it costs no PRF evaluation; any other block (a
-    dataclasses.replace copy, a tampered block, another client's) gets
-    its masks from F_k(r) under this client's key.  Masks kept by r would
-    need counts, since r has only 2 * n_msg bits.  SkesCodec's memo needs
-    none, as its 32-bit r does not collide in practice; its blocks stay
-    plain (body, r) pairs because a block type would cost build time and
-    memory on each of the 8,188 blocks of a 1024-block tree's set-up.
+    A block this codec made decodes from its plaintext, which a Pauli
+    mask and its inverse give back exactly but for the signs of zeros,
+    with no PRF evaluation; under QSGAMES_DEBUG it is also decrypted and
+    must agree.  Any other block (a copy built from a ciphertext, a
+    tampered block, another client's) is decrypted under this client's
+    key.  SkesCodec's blocks stay plain (body, r) pairs because a block
+    type would cost build time and memory on each of the 8,188 blocks of
+    a 1024-block tree's set-up.
     """
 
     def __init__(self, params: OramParams, scheme: Skqes1Scheme, key: BitString, rand: Rand):
@@ -159,19 +174,26 @@ class QuantumCodec:
         n_dat = self._params.n_dat
         return flip >> n_dat, flip & ((1 << n_dat) - 1), _unchecked(pad & ((1 << 2 * n_dat) - 1), 2 * n_dat)
 
+    def seal(self, tag: int, data: DensityMatrix | None, r: BitString) -> tuple:
+        """The masked (tag, data register) of a plaintext under F_k(r);
+        data None is an empty's |0><0|."""
+        tag_flip, data_flip, data_pad = self._masks(r)
+        if data is None:
+            return tag ^ tag_flip, DensityMatrix.basis(self._params.n_dat, data_flip)
+        return tag ^ tag_flip, qotp_apply(data_pad, data)
+
+    def _open(self, block: QuantumBlock) -> tuple:
+        """The (tag, data register) of a block decrypted under F_k(r)."""
+        tag_flip, _, data_pad = self._masks(block.r)
+        return block.tag ^ tag_flip, qotp_apply(data_pad, block.data)
+
     def encode_path(self, records: list) -> list:
         """One block per entry: a [tag, data register] record, or None
         for an empty."""
-        r_bits, n_dat = self._prf.in_bits, self._params.n_dat
-        blocks = []
-        for rec, r in zip(records, self._rand.numpy().integers(0, 1 << 32, size=len(records)).tolist()):
-            r_str = _unchecked(r & ((1 << r_bits) - 1), r_bits)
-            tag_flip, data_flip, data_pad = self._masks(r_str)
-            block = (QuantumBlock(tag_flip, DensityMatrix.basis(n_dat, data_flip), r_str) if rec is None else
-                     QuantumBlock(rec[0] ^ tag_flip, qotp_apply(data_pad, rec[1]), r_str))
-            block._masks = (self, tag_flip, data_pad)
-            blocks.append(block)
-        return blocks
+        r_bits = self._prf.in_bits
+        return [QuantumBlock(None, None, _unchecked(r & ((1 << r_bits) - 1), r_bits),
+                             (self, 0, None) if rec is None else (self, rec[0], rec[1]))
+                for rec, r in zip(records, self._rand.numpy().integers(0, 1 << 32, size=len(records)).tolist())]
 
     def decode_path(self, blocks) -> list:
         """The [tag, data register] records of the blocks in order, empties
@@ -181,21 +203,24 @@ class QuantumCodec:
         gen = self._rand.numpy()
         records = []
         for block in blocks:
-            kept = block._masks
-            if kept is not None and kept[0] is self:
-                _, tag_flip, data_pad = kept
+            plain = block._plain
+            if plain is None or plain[0] is not self:
+                tag, data = self._open(block)
             else:
-                tag_flip, _, data_pad = self._masks(block.r)
-            tag = block.tag ^ tag_flip
+                _, tag, data = plain
+                if quantum.DEBUG_CHECKS:
+                    opened_tag, opened = self._open(block)
+                    kept = DensityMatrix.basis(n_dat, 0) if data is None else data
+                    if opened_tag != tag or (opened.mat + 0.0).tobytes() != (kept.mat + 0.0).tobytes():
+                        raise DecryptionMismatch(f"block of plaintext tag {tag} decrypts to tag {opened_tag}"
+                                                 + ("" if opened_tag != tag else " and other data"))
             gen.random()  # the tag is a basis state: the measurement's one draw always picks it
             if tag > n_db:
                 raise ProtocolAbort(f"block decodes to invalid tag {tag}")
             if tag:
                 # the collapse divides by the tag's probability, the trace
                 # of the data register; the partial trace then adds zeros
-                mat = qotp_apply(data_pad, block.data).mat
-                mat /= np.real(np.diag(mat)).sum()
-                mat += 0.0
+                mat = data.mat / np.real(np.diag(data.mat)).sum() + 0.0
                 records.append([tag, DensityMatrix(n_dat, mat, check=False)])
         return records
 

@@ -163,6 +163,15 @@ class TestBmOramAttack:
         )
         assert abs(res.advantage) <= games.three_sigma(400)
 
+    def test_answered_attack_asks_nothing_more(self):
+        # once it has answered, phase 2 asks for nothing and keeps the
+        # answer, whatever view it is shown
+        adv = attacks.bm_oram_attack(0, BM_P, BM_G)
+        adv.begin(Rand(14), OramParams(n_db=16, n_dat=8))
+        assert adv.phase2_request(None) is None  # no history: it answers with a coin
+        answer = adv.answer
+        assert answer in (0, 1) and adv.phase2_request(None) is None and adv.answer == answer
+
     def test_leaf_history_matches_client_log(self):
         # white-box: the leaves the attack scrapes off transcripts are
         # exactly the truncated generator outputs the client consumed

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from qsgames import cli, experiments, games
+from qsgames import cli, experiments, games, quantum
+from qsgames.qoram import QuantumCodec
 
 
 class TestCatalog:
@@ -164,6 +165,24 @@ class TestRunCli:
             err = capsys.readouterr().err
             assert err.startswith("internal error: GameProtocolError: ")
             assert err.count("\n") == 1
+
+    def test_a_codec_fault_found_by_the_debug_checks_is_an_internal_error(self, capsys, monkeypatch):
+        # debug mode decrypts every block the quantum codec decodes from
+        # the plaintext it holds; a block sealed under the wrong tag is the
+        # codec's fault, not a FAIL, and only debug mode sees it here
+        seal = QuantumCodec.seal
+
+        def misseal(codec, tag, data, r):
+            masked_tag, masked = seal(codec, tag, data, r)
+            return masked_tag ^ 1, masked
+
+        monkeypatch.setattr(QuantumCodec, "seal", misseal)
+        monkeypatch.setattr(quantum, "DEBUG_CHECKS", False)
+        assert cli.main(["--experiment", "qap-tag-null", "--trials", "2"]) in (0, 1)
+        capsys.readouterr()
+        monkeypatch.setattr(quantum, "DEBUG_CHECKS", True)
+        assert cli.main(["--experiment", "qap-tag-null", "--trials", "2"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: DecryptionMismatch: ")
 
     def test_challenge_ids_need_two_blocks(self, capsys):
         # these adversaries challenge with ids 1 and 2

@@ -46,7 +46,7 @@ from qsgames.quantum import (
     type2_oracle,
 )
 from qsgames.rng import Rand, TableCache
-from qoram_blocks import dense_cipher
+from qoram_blocks import dense_cipher, sealed_afresh, with_r
 from skes_blocks import as_ciphertext
 
 N_DAT = 4
@@ -132,6 +132,30 @@ def test_quantum_oram_returns_what_was_swapped_in(n_db, seed, data):
         held = [tag for tag in held if tag] + [rec[0] for rec in client.stash]
         assert sorted(held) == sorted(shadow)
         assert all(rec[1].n_qubits == params.n_dat for rec in client.stash)
+
+
+@settings(bounded, max_examples=10)  # each access checks every block, 124 of them at n_db=16
+@given(st.sampled_from([2, 16]), st.integers(0, 2**16), st.data())
+def test_quantum_blocks_seal_as_the_scheme_encrypts(n_db, seed, data):
+    # a block the codec made holds its plaintext and is sealed when read:
+    # its tag, data and digest are those of the scheme's dense encryption
+    # of that plaintext under its r, up to the signs of zeros, and a copy
+    # built from that ciphertext decodes to the records the block does
+    params = OramParams(n_db=n_db, n_dat=1)
+    client, server = qoram_init(params, Rand(seed))
+    gen = client.rand.numpy()
+    for op, rid, state_seed in data.draw(quantum_requests(n_db)):
+        payload = DensityMatrix.random_mixed(params.n_dat, Rand(state_seed)) if op == "write" else None
+        qoram_access(client, server, QuantumDataRequest(op, rid, payload))
+        for block in (b for bucket in server.nodes for b in bucket):
+            rebuilt = sealed_afresh(client, block)
+            assert block.tag == rebuilt.tag and block.digest() == rebuilt.digest()
+            assert (block.data.mat + 0.0).tobytes() == (rebuilt.data.mat + 0.0).tobytes()
+            state = gen.bit_generator.state  # decoding draws; the accesses keep their stream
+            own = client.codec.decode_path([block])
+            copy = client.codec.decode_path([with_r(block, block.r.value)])
+            gen.bit_generator.state = state
+            assert [(t, d.mat.tobytes()) for t, d in copy] == [(t, d.mat.tobytes()) for t, d in own]
 
 
 # The server stores each bucket's view once; everything read off the

@@ -1,15 +1,15 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qoram_blocks import dense_cipher, with_r
-from qsgames import experiments, oram
+from qsgames import experiments, oram, quantum
 from qsgames.bits import BitString
 from qsgames.oram import OramParams, ProtocolAbort, views_digest
 from qsgames.prf import IdealPrf
 from qsgames.qoram import (
+    DecryptionMismatch,
     QuantumBlock,
     QuantumCodec,
     QuantumDataRequest,
@@ -162,9 +162,11 @@ class TestCosts:
         return requests
 
     @staticmethod
-    def counted_evals(monkeypatch) -> dict:
+    def counted_evals(monkeypatch, debug=False) -> dict:
         """Counts of the IdealPrf evaluations made from now on: "all" of
-        them, and those "decoding", made inside QuantumCodec.decode_path."""
+        them, and those "decoding", made inside QuantumCodec.decode_path,
+        with the debug checks on or off as `debug` says."""
+        monkeypatch.setattr(quantum, "DEBUG_CHECKS", debug)
         counts, inside = {"all": 0, "decoding": 0}, [False]
         evaluate, decode = IdealPrf.eval, QuantumCodec.decode_path
 
@@ -184,25 +186,37 @@ class TestCosts:
         monkeypatch.setattr(QuantumCodec, "decode_path", counted_decode)
         return counts
 
+    @pytest.mark.parametrize("debug", [False, True])
     @pytest.mark.parametrize("n_db", [2, 16])
-    def test_prf_evals_per_access(self, monkeypatch, n_db):
-        # a set-up encodes every block of the tree once, and an access
-        # re-encodes its path, one evaluation per block; decoding a block
-        # this codec made uses the masks the block kept, and evaluates none
-        counts = self.counted_evals(monkeypatch)
+    def test_prf_evals_per_access(self, monkeypatch, n_db, debug):
+        # blocks keep their plaintext and are sealed under F_k(r) only when
+        # read; no block is read here, so set-up and accesses evaluate
+        # nothing, and the codec decodes its own blocks from their
+        # plaintext.  Debug mode also decrypts each decoded block: it seals
+        # the block (one evaluation) and unmasks it (one more)
+        counts = self.counted_evals(monkeypatch, debug)
         client, server = fresh(n_db=n_db, seed=16)
-        path_blocks = (client.params.n_tree + 1) * server.n_bkt
-        assert counts == {"all": server.node_count * server.n_bkt, "decoding": 0}  # 12 at n_db=2, 124 at 16
-        for qdr in self.accesses(client.params, 200, 17):
-            before = counts["all"]
+        per_access = 2 * (client.params.n_tree + 1) * server.n_bkt if debug else 0  # 16 at n_db=2, 40 at 16
+        assert counts == {"all": 0, "decoding": 0}
+        for i, qdr in enumerate(self.accesses(client.params, 200, 17)):
             qoram_access(client, server, qdr)
-            assert counts["all"] - before == path_blocks  # 8 at n_db=2, 20 at 16
-        assert counts["decoding"] == 0
+            assert counts == {"all": (i + 1) * per_access, "decoding": (i + 1) * per_access}
+
+    @pytest.mark.parametrize("n_db", [2, 16])
+    def test_first_read_of_a_block_seals_it_through_one_prf_eval(self, monkeypatch, n_db):
+        # a block's first digest seals it, one evaluation; reading its
+        # digest, tag or data again costs none
+        client, _ = fresh(n_db=n_db, seed=16)
+        block = client.codec.encode_path([[1, DensityMatrix.random_mixed(client.params.n_dat, Rand(18))]])[0]
+        counts = self.counted_evals(monkeypatch)
+        digest = block.digest()
+        assert counts["all"] == 1
+        assert block.digest() == digest and dense_cipher(client.params, block) and counts["all"] == 1
 
     @pytest.mark.parametrize("n_db", [2, 16])
     def test_replaced_block_decodes_through_one_prf_eval(self, monkeypatch, n_db):
-        # dataclasses.replace drops the kept masks: the copy is decrypted
-        # under F_k(r), with the same r or another one
+        # a copy built from the ciphertext holds no plaintext: it is
+        # decrypted under F_k(r), with the same r or another one
         client, server = fresh(n_db=n_db, seed=16)
         codec, payload = client.codec, DensityMatrix.random_mixed(client.params.n_dat, Rand(18))
         block = codec.encode_path([[1, payload]])[0]
@@ -220,10 +234,11 @@ class TestCosts:
     @pytest.mark.parametrize("n_db", [2, 16])
     def test_another_clients_block_decodes_under_this_clients_key(self, monkeypatch, n_db):
         # a bucket another client's codec made, stored at this tree's root,
-        # decodes as its replace copy with the same r does: through F_k(r)
-        # under this client's key, one evaluation per block decoded.  Under
-        # that key its tags are random, so decoding stops at the first one
-        # above n_db
+        # decodes as its copy with the same r does: through F_k(r) under
+        # this client's key, one evaluation per block decoded.  Under that
+        # key its tags are random, so decoding stops at the first one above
+        # n_db.  Building the copies reads, and so seals, the other
+        # client's blocks under its own key before the count starts
         foreign = fresh(n_db=n_db, seed=31)[1].nodes[0]
         counts = self.counted_evals(monkeypatch)
         outcomes = []
@@ -326,13 +341,37 @@ def _tag(client, block) -> int:
     return int(np.argmax(marginal))
 
 
+class TestDebugChecks:
+    @pytest.mark.parametrize("fault", ["tag", "data"])
+    def test_debug_decoding_decrypts_each_own_block(self, monkeypatch, fault):
+        # a block sealed wrongly still decodes from the plaintext it holds;
+        # debug mode decrypts it under F_k(r) too, and the two disagree
+        client, _ = fresh(n_db=2, seed=24)
+        codec, seal = client.codec, QuantumCodec.seal
+
+        def misseal(codec, tag, data, r):
+            masked_tag, masked = seal(codec, tag, data, r)
+            if fault == "tag":
+                return masked_tag ^ 1, masked
+            return masked_tag, DensityMatrix(masked.n_qubits, masked.mat[::-1, ::-1], check=False)
+
+        monkeypatch.setattr(QuantumCodec, "seal", misseal)
+        for rec in ([1, DensityMatrix.basis(1, 1)], None):
+            blocks = codec.encode_path([rec])
+            monkeypatch.setattr(quantum, "DEBUG_CHECKS", False)
+            assert [t for t, _ in codec.decode_path(blocks)] == ([1] if rec else [])
+            monkeypatch.setattr(quantum, "DEBUG_CHECKS", True)
+            with pytest.raises(DecryptionMismatch, match=f"plaintext tag {rec[0] if rec else 0} decrypts to "):
+                codec.decode_path(blocks)
+
+
 class TestBlockDigest:
     def test_replaced_block_digests_afresh(self):
-        # the kept digest is not a field of the copy dataclasses.replace makes
+        # a copy built by the constructor from the ciphertext keeps no digest
         client, server = fresh(seed=20)
         block = server.nodes[0][0]
         block.digest()
-        moved = replace(block, r=BitString(block.r.value ^ 1, block.r.width))
+        moved = QuantumBlock(block.tag, block.data, BitString(block.r.value ^ 1, block.r.width))
         assert moved.digest() == QuantumBlock(moved.tag, moved.data, moved.r).digest() != block.digest()
 
     def test_views_compare_as_digest_tuples(self):
