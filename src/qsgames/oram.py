@@ -15,13 +15,16 @@ qoram.QuantumCodec for the quantum variant.  A codec decodes a
 downloaded path in one call and encodes a re-encrypted path (or, at
 set-up, the whole tree) in one call, in the order the blocks'
 randomness is drawn: root to leaf, each bucket's records before its
-empties.  A classical block is the int pair (body, r) of a
-GoldreichScheme ciphertext, exactly what an observer of the server
-sees of it.  SkesCodec draws a path's randomness in one batch and
-keeps the pad F_k(r) of every block it encodes, keyed by r, so
-decoding a block it stored costs no PRF evaluation.  The position-map
-generator is pluggable, and its choice is exactly what the separation
-experiments attack.
+empties.  A classical block is, to everyone who reads it, the int pair
+(body, r) of a GoldreichScheme ciphertext, exactly what an observer of
+the server sees of it.  A block SkesCodec makes holds its message and
+r, and is sealed, its pad F_k(r) and body computed and kept, when
+something first reads it (call-by-need; Henderson and Morris, POPL
+1976); a stored block never changes, so a body computed late equals
+one computed at once.  So set-up evaluates no PRF, and an access
+evaluates one for each block it downloads that nobody has read.  The
+position-map generator is pluggable, and its choice is exactly what
+the separation experiments attack.
 
 A bucket's view is what an observer of the server sees of it, built
 by codec.view: a classical bucket is its own view, and a quantum
@@ -43,6 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import quantum
 from .bits import BitString, _unchecked
 from .prf import make_prf
 from .rng import CounterPrfPrng, Rand
@@ -51,6 +55,11 @@ from .schemes import GoldreichScheme
 
 class ProtocolAbort(Exception):
     """Raised when a downloaded block decrypts to garbage."""
+
+
+class DecryptionMismatch(Exception):
+    """Debug mode only: a block decrypted through F_k(r) disagrees with
+    the plaintext it holds, so the codec, not the server, is at fault."""
 
 
 @dataclass(frozen=True)
@@ -154,7 +163,7 @@ class AccessPattern:
 
     def to_json(self) -> str:
         def hex_block(view):  # a classical (body, r) pair, or a quantum block's digest
-            return "%x:%x" % view if isinstance(view, tuple) else view
+            return view if isinstance(view, str) else "%x:%x" % tuple(view)
 
         return json.dumps(
             {
@@ -188,12 +197,46 @@ class ClientState:
         return leaf
 
 
+class SkesBlock:
+    """A block SkesCodec made: the codec's PRF, the message and r.  Its
+    first read seals it, computing pad = F_k(r) and body = msg ^ pad and
+    keeping both; it iterates, compares, hashes and prints as the pair
+    (body, r)."""
+
+    __slots__ = ("prf", "msg", "r", "pad", "_pair")
+
+    def __init__(self, prf, msg: int, r: int):
+        self.prf, self.msg, self.r, self.pad = prf, msg, r, None
+
+    def pair(self) -> tuple:
+        if self.pad is None:
+            self.pad = self.prf.eval(_unchecked(self.r, 32)).value
+            self._pair = (self.msg ^ self.pad, self.r)
+        return self._pair
+
+    def __iter__(self):
+        return iter(self.pair())
+
+    def __eq__(self, other) -> bool:
+        return self.pair() == other
+
+    def __hash__(self) -> int:
+        return hash(self.pair())
+
+    def __repr__(self) -> str:
+        return repr(self.pair())
+
+
 class SkesCodec:
     """Blocks as GoldreichScheme ciphertexts of the message
-    (tag << n_dat) | data, stored as the int pair (body, r) with
-    body = m xor F_k(r): a block is its own view.  The pad memo holds one
-    entry per block encoded and not yet decoded; a pad is a pure function
-    of (key, r), so a miss (a tampered block, a repeated r) recomputes it.
+    (tag << n_dat) | data, read as the int pair (body, r) with
+    body = m xor F_k(r): a block is its own view.  Encoding makes
+    SkesBlocks, which hold the message and evaluate no PRF until read.
+    A block this codec made decodes as body ^ pad, sealing it first if
+    nobody has read it; under QSGAMES_DEBUG its body is also decrypted
+    through F_k(r) and must give its message.  Any other block (a pair
+    stored through ServerDB.store, a tampered block, another client's)
+    is decrypted under this client's key.
     """
 
     def __init__(self, params: OramParams, scheme, key, rand: Rand):
@@ -202,26 +245,27 @@ class SkesCodec:
         self._params = params
         self._prf = make_prf(key, scheme.r_bits, scheme.msg_bits)
         self._rand = rand
-        self._pads: dict[int, int] = {}
 
     def encode_path(self, records: list) -> list:
         """One block per entry: a [tag, data] record, or None for an empty."""
-        n_dat, prf, pads = self._params.n_dat, self._prf, self._pads
-        blocks = []
-        for rec, r in zip(records, self._rand.numpy().integers(0, 1 << 32, size=len(records)).tolist()):
-            pad = pads[r] = prf.eval(_unchecked(r, 32)).value
-            msg = 0 if rec is None else (rec[0] << n_dat) | rec[1].value
-            blocks.append((msg ^ pad, r))
-        return blocks
+        n_dat, prf = self._params.n_dat, self._prf
+        return [SkesBlock(prf, 0 if rec is None else (rec[0] << n_dat) | rec[1].value, r)
+                for rec, r in zip(records, self._rand.numpy().integers(0, 1 << 32, size=len(records)).tolist())]
 
     def decode_path(self, blocks) -> list:
         """The [tag, data] records of the blocks in order, empties left
         out; ProtocolAbort at the first tag above n_db."""
-        n_db, n_dat, prf, pads = self._params.n_db, self._params.n_dat, self._prf, self._pads
+        n_db, n_dat, prf = self._params.n_db, self._params.n_dat, self._prf
         records = []
-        for body, r in blocks:
-            pad = pads.pop(r, None)
-            msg = body ^ (prf.eval(_unchecked(r, 32)).value if pad is None else pad)
+        for block in blocks:
+            if type(block) is SkesBlock and block.prf is prf:
+                body, r = block.pair()
+                msg = body ^ block.pad
+                if quantum.DEBUG_CHECKS and (opened := body ^ prf.eval(_unchecked(r, 32)).value) != block.msg:
+                    raise DecryptionMismatch(f"block of message {block.msg:#x} decrypts to {opened:#x}")
+            else:
+                body, r = block
+                msg = body ^ prf.eval(_unchecked(r, 32)).value
             tag = msg >> n_dat
             if tag > n_db:
                 raise ProtocolAbort(f"block decodes to invalid tag {tag}")

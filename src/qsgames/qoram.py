@@ -49,8 +49,8 @@ import numpy as np
 
 from . import quantum
 from .bits import BitString, _unchecked
-from .oram import (ClientState, DataRequest, OramParams, ProtocolAbort, ServerDB, Transcript, tree_access, tree_init,
-                   views_digest)
+from .oram import (ClientState, DataRequest, DecryptionMismatch, OramParams, ProtocolAbort, ServerDB, Transcript,
+                   tree_access, tree_init, views_digest)
 from .prf import make_prf
 from .qscheme import Skqes1Scheme
 from .quantum import DensityMatrix, _check_density_cap, qotp_apply
@@ -129,11 +129,6 @@ class BlockDigests(Sequence):
         return repr(tuple(self))
 
 
-class DecryptionMismatch(Exception):
-    """Debug mode only: a block decrypted through F_k(r) disagrees with
-    the plaintext it holds, so the codec, not the server, is at fault."""
-
-
 class QuantumCodec:
     """Blocks as Skqes1Scheme ciphertexts of (tag register || data
     register) in product form, masked by the scheme's pad F_k(r), whose
@@ -150,9 +145,7 @@ class QuantumCodec:
     with no PRF evaluation; under QSGAMES_DEBUG it is also decrypted and
     must agree.  Any other block (a copy built from a ciphertext, a
     tampered block, another client's) is decrypted under this client's
-    key.  SkesCodec's blocks stay plain (body, r) pairs because a block
-    type would cost build time and memory on each of the 8,188 blocks of
-    a 1024-block tree's set-up.
+    key, as SkesCodec's decoding does.
     """
 
     def __init__(self, params: OramParams, scheme: Skqes1Scheme, key: BitString, rand: Rand):

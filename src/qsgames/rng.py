@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _unchecked
 
 
 class Rand:
@@ -57,7 +57,8 @@ class Rand:
         val = 0
         for _ in range((width + 31) // 32):
             val = (val << 32) | int(self._gen.integers(0, 1 << 32))
-        return BitString(val & ((1 << width) - 1), width)
+        # the value fits by construction; the constructor still rejects width < 1
+        return _unchecked(val & ((1 << width) - 1), width) if width > 0 else BitString(val, width)
 
     def integer(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi)."""

@@ -6,6 +6,7 @@ import pytest
 
 from qsgames import cli, experiments, games, quantum
 from qsgames.qoram import QuantumCodec
+from skes_blocks import misseal
 
 
 class TestCatalog:
@@ -182,6 +183,18 @@ class TestRunCli:
         capsys.readouterr()
         monkeypatch.setattr(quantum, "DEBUG_CHECKS", True)
         assert cli.main(["--experiment", "qap-tag-null", "--trials", "2"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: DecryptionMismatch: ")
+
+    def test_a_classical_codec_fault_found_by_the_debug_checks_is_an_internal_error(self, capsys, monkeypatch):
+        # debug mode decrypts the body of every block the classical codec
+        # decodes; a block sealed under the wrong pad is the codec's
+        # fault, and only debug mode sees it, since decoding trusts the pad
+        misseal(monkeypatch)
+        monkeypatch.setattr(quantum, "DEBUG_CHECKS", False)
+        assert cli.main(["--experiment", "leaf-frequency-null", "--trials", "2"]) in (0, 1)
+        capsys.readouterr()
+        monkeypatch.setattr(quantum, "DEBUG_CHECKS", True)
+        assert cli.main(["--experiment", "leaf-frequency-null", "--trials", "2"]) == 3
         assert capsys.readouterr().err.startswith("internal error: DecryptionMismatch: ")
 
     def test_challenge_ids_need_two_blocks(self, capsys):

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 import oram_reference
+from qsgames import quantum
 from qsgames.bits import BitString
 from qsgames.oram import (
     DataRequest,
+    DecryptionMismatch,
     OramParams,
+    ProtocolAbort,
+    SkesBlock,
     SkesCodec,
     TraceStep,
     _common_depth,
@@ -18,7 +22,7 @@ from qsgames.oram import (
 from qsgames.prf import IdealPrf
 from qsgames.rng import BlumMicaliPrng, Rand
 from qsgames.schemes import GoldreichScheme
-from skes_blocks import as_ciphertext
+from skes_blocks import as_ciphertext, as_pair, misseal
 
 
 def fresh(n_db=8, n_dat=8, seed=0, **kw):
@@ -106,36 +110,138 @@ class TestAccess:
 
 
 class TestCosts:
+    @staticmethod
+    def counted_evals(monkeypatch) -> dict:
+        """Counts of the IdealPrf evaluations made from now on: "all" of
+        them, and those "decoding", made inside SkesCodec.decode_path.
+        The debug checks are off unless the test turns them on."""
+        monkeypatch.setattr(quantum, "DEBUG_CHECKS", False)
+        counts, inside = {"all": 0, "decoding": 0}, [False]
+        evaluate, decode = IdealPrf.eval, SkesCodec.decode_path
+
+        def counted_eval(prf, x):
+            counts["all"] += 1
+            counts["decoding"] += inside[0]
+            return evaluate(prf, x)
+
+        def counted_decode(codec, blocks):
+            inside[0] = True
+            try:
+                return decode(codec, blocks)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(IdealPrf, "eval", counted_eval)
+        monkeypatch.setattr(SkesCodec, "decode_path", counted_decode)
+        return counts
+
     def test_prf_evals_per_access(self, monkeypatch):
-        # a set-up encodes all 31 buckets of 4 blocks at n_db=16, and an
-        # access re-encodes the 5 buckets of its path; decoding reuses the
-        # pads the codec computed when it encoded the blocks
-        calls = []
-        uncounted = IdealPrf.eval
+        # blocks hold their message and are sealed under F_k(r) only when
+        # read: a set-up (124 blocks at n_db=16) evaluates nothing, and an
+        # access seals the 20 blocks of the 5 buckets it decodes, one
+        # evaluation each, and re-encodes them unread.  Debug mode also
+        # decrypts each decoded block, one more evaluation
+        counts = self.counted_evals(monkeypatch)
+        for debug in (False, True):
+            monkeypatch.setattr(quantum, "DEBUG_CHECKS", debug)
+            counts.update(all=0, decoding=0)
+            client, server = oram_init(OramParams(n_db=16), Rand(5))
+            assert counts == {"all": 0, "decoding": 0}
+            per_access = 40 if debug else 20
+            for i in range(40):
+                rid = 1 + i % 16
+                op = DataRequest("write", rid, BitString(i, 8)) if i % 2 else DataRequest("read", rid)
+                oram_access(client, server, op)
+                assert counts == {"all": (i + 1) * per_access, "decoding": (i + 1) * per_access}
+            # reading the views of a path seals its blocks, so decoding them
+            # evaluates nothing, or once a block in debug mode
+            path = server.path_nodes(client.position_map[1])
+            assert len([tuple(block) for idx in path for block in server.nodes[idx]]) == 20
+            counts.update(all=0, decoding=0)
+            oram_access(client, server, DataRequest("read", 1))
+            assert counts == {"all": per_access - 20, "decoding": per_access - 20}
 
-        def counted(prf, x):
-            calls.append(x)
-            return uncounted(prf, x)
+    @pytest.mark.parametrize("read", ["iter", "eq", "hash", "repr", "str", "decode"])
+    def test_first_read_of_a_block_seals_it_through_one_prf_eval(self, monkeypatch, read):
+        # any first read seals a block, one evaluation; every later read,
+        # decoding included, costs none and sees the same pair
+        client, _ = fresh(n_db=16, seed=16)
+        codec, params = client.codec, client.params
+        block = codec.encode_path([[3, BitString(0xAB, 8)]])[0]
+        msg = BitString((3 << 8) | 0xAB, params.n_msg)
+        want = as_pair(client.scheme.enc(client.key, msg, r=BitString(block.r, 32)))
+        counts = self.counted_evals(monkeypatch)
+        first = {"iter": tuple, "eq": lambda b: b == (0, 0), "hash": hash, "repr": repr, "str": str,
+                 "decode": lambda b: codec.decode_path([b])}[read]
+        first(block)
+        assert counts["all"] == 1
+        pair = tuple(block)
+        assert pair == want
+        assert block == pair and pair == block and not block != pair and block != (pair[0] ^ 1, pair[1])
+        assert hash(block) == hash(pair) and repr(block) == str(block) == repr(pair)
+        assert codec.decode_path([block]) == [[3, BitString(0xAB, 8)]]
+        assert counts["all"] == 1
 
-        monkeypatch.setattr(IdealPrf, "eval", counted)
-        client, server = oram_init(OramParams(n_db=16), Rand(5))
-        assert len(calls) <= 124
-        for i in range(40):
-            rid = 1 + i % 16
-            op = DataRequest("write", rid, BitString(i, 8)) if i % 2 else DataRequest("read", rid)
-            oram_access(client, server, op)
-        assert len(calls) <= 124 + 20 * 40
+    def test_stored_pairs_decode_through_one_prf_eval_each(self, monkeypatch):
+        # a plain (body, r) pair stored through ServerDB.store is not a block
+        # the codec made: it is decrypted under F_k(r), one evaluation, and
+        # a tag above n_db still aborts.  The root's blocks become pairs and
+        # the rest of the path is read, so sealed, beforehand
+        client, server = fresh(n_db=16, seed=16)
+        oram_access(client, server, DataRequest("write", 1, BitString(0xAB, 8)))
+        path = server.path_nodes(client.position_map[1])
+        pairs = tuple(tuple(block) for block in server.nodes[0])
+        server.store(0, pairs, SkesCodec.view(pairs))
+        assert all(tuple(block) for idx in path[1:] for block in server.nodes[idx])
+        counts = self.counted_evals(monkeypatch)
+        oram_access(client, server, DataRequest("read", 1))
+        assert client.last_read == BitString(0xAB, 8) and counts["decoding"] == server.n_bkt
+        body, r = client.codec.encode_path([[1, BitString(0xAB, 8)]])[0]
+        counts["decoding"] = 0
+        with pytest.raises(ProtocolAbort, match="invalid tag 17"):  # the top bit of a 5-bit tag flipped
+            client.codec.decode_path([(body ^ (1 << (client.params.n_msg - 1)), r)])
+        assert counts["decoding"] == 1
 
-    def test_pad_memo_holds_at_most_one_pad_per_stored_block(self):
-        # decoding pops the pad of every block it reads back, so the memo
-        # never holds more entries than the tree has blocks
-        client, server = oram_init(OramParams(n_db=16), Rand(5))
-        gen = Rand(6).numpy()
-        for i in range(200):
-            rid = int(gen.integers(1, 17))
-            op = DataRequest("write", rid, BitString(i % 256, 8)) if gen.random() < 0.5 else DataRequest("read", rid)
-            oram_access(client, server, op)
-        assert len(client.codec._pads) <= server.node_count * server.n_bkt
+    def test_another_clients_block_decodes_under_this_clients_key(self, monkeypatch):
+        # another client's blocks, whether or not it has sealed them under
+        # its own key, are decrypted through F_k(r) under this client's
+        # key, as their pairs are: one evaluation per block decoded once
+        # they are sealed.  Under this key their tags are random, so
+        # decoding stops at the first one above n_db
+        records = [[1, BitString(0xAB, 8)], None, [2, BitString(0x5, 8)], None] * 2
+        other = fresh(n_db=16, seed=31)[0]
+        sealed, unsealed = other.codec.encode_path(records), fresh(n_db=16, seed=31)[0].codec.encode_path(records)
+        pairs = [as_pair(as_ciphertext(other.scheme, block)) for block in sealed]
+        client, _ = fresh(n_db=16, seed=16)
+        counts = self.counted_evals(monkeypatch)
+
+        def outcome(blocks):
+            try:
+                return client.codec.decode_path(blocks)
+            except ProtocolAbort as err:
+                return str(err)
+
+        got, decoded = outcome(sealed), counts["decoding"]
+        assert got == outcome(pairs) == outcome(unsealed)
+        msgs = [client.scheme.dec(client.key, as_ciphertext(client.scheme, pair)).value for pair in pairs]
+        bad = next((i for i, msg in enumerate(msgs) if msg >> 8 > 16), None)
+        want = [[msg >> 8, BitString(msg & 0xFF, 8)] for msg in msgs if msg >> 8]
+        assert got == (want if bad is None else f"block decodes to invalid tag {msgs[bad] >> 8}")
+        assert decoded == (len(msgs) if bad is None else bad + 1)
+
+    def test_debug_decoding_decrypts_each_own_block(self, monkeypatch):
+        # a block sealed under the wrong pad shows a body that does not
+        # decrypt to its message; decoding trusts the pad it keeps, so only
+        # debug mode, which decrypts the body afresh, sees the fault
+        client, _ = fresh(n_db=16, seed=16)
+        misseal(monkeypatch)
+        blocks = client.codec.encode_path([[3, BitString(0xAB, 8)], None])
+        monkeypatch.setattr(quantum, "DEBUG_CHECKS", False)
+        assert client.codec.decode_path(blocks) == [[3, BitString(0xAB, 8)]]
+        monkeypatch.setattr(quantum, "DEBUG_CHECKS", True)
+        for block, msg in zip(blocks, ((3 << 8) | 0xAB, 0)):
+            with pytest.raises(DecryptionMismatch, match=f"block of message {msg:#x} decrypts to "):
+                client.codec.decode_path([block])
 
 
 class TestInvariants:

@@ -18,8 +18,10 @@ from qsgames import attacks, games, qscheme, quantum, schemes
 from qsgames.bits import BitString
 from qsgames.cli import load_config, parse_params
 from qsgames.oram import (
+    AccessPattern,
     DataRequest,
     OramParams,
+    Transcript,
     check_minimal_soundness,
     fnv1a64,
     oram_access,
@@ -47,7 +49,7 @@ from qsgames.quantum import (
 )
 from qsgames.rng import Rand, TableCache
 from qoram_blocks import dense_cipher, sealed_afresh, with_r
-from skes_blocks import as_ciphertext
+from skes_blocks import as_ciphertext, as_pair
 
 N_DAT = 4
 bounded = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -156,6 +158,30 @@ def test_quantum_blocks_seal_as_the_scheme_encrypts(n_db, seed, data):
             copy = client.codec.decode_path([with_r(block, block.r.value)])
             gen.bit_generator.state = state
             assert [(t, d.mat.tobytes()) for t, d in copy] == [(t, d.mat.tobytes()) for t, d in own]
+
+
+@bounded
+@given(st.data(), st.integers(2, 16), st.integers(1, 4), st.integers(0, 2**16))
+def test_classical_blocks_seal_as_the_scheme_encrypts(data, n_db, n_bkt, seed):
+    # a block the codec made holds its message and is sealed when read:
+    # after every access each stored block is the scheme's encryption of
+    # its message under its r, and the access pattern's JSON and the tree
+    # digest are those of the plain (body, r) pairs
+    client, server = oram_init(OramParams(n_db=n_db, n_dat=N_DAT, n_bkt=n_bkt), Rand(seed))
+    scheme, n_msg = client.scheme, client.params.n_msg
+
+    def pairs(blocks) -> tuple:
+        return tuple(tuple(block) for block in blocks)
+
+    for dr in data.draw(classical_requests(n_db, 1, 20)):
+        _, _, ap = oram_access(client, server, dr)
+        for block in (b for bucket in server.nodes for b in bucket):
+            assert block == as_pair(scheme.enc(client.key, BitString(block.msg, n_msg), r=BitString(block.r, 32)))
+        tr = ap.transcript
+        plain = AccessPattern(tuple(map(pairs, ap.pre_db)), Transcript(tr.leaf, pairs(tr.down), pairs(tr.up)),
+                              tuple(map(pairs, ap.post_db)))
+        assert ap.to_json() == plain.to_json()
+        assert views_digest(server.snapshot()) == views_digest(tuple(map(pairs, server.snapshot())))
 
 
 # The server stores each bucket's view once; everything read off the

@@ -6,10 +6,9 @@ import pytest
 from qoram_blocks import dense_cipher, with_r
 from qsgames import experiments, oram, quantum
 from qsgames.bits import BitString
-from qsgames.oram import OramParams, ProtocolAbort, views_digest
+from qsgames.oram import DecryptionMismatch, OramParams, ProtocolAbort, views_digest
 from qsgames.prf import IdealPrf
 from qsgames.qoram import (
-    DecryptionMismatch,
     QuantumBlock,
     QuantumCodec,
     QuantumDataRequest,
