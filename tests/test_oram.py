@@ -9,7 +9,6 @@ from qsgames.oram import (
     DecryptionMismatch,
     OramParams,
     ProtocolAbort,
-    SkesBlock,
     SkesCodec,
     TraceStep,
     _common_depth,
@@ -19,9 +18,9 @@ from qsgames.oram import (
     oram_init,
     run_trace,
 )
-from qsgames.prf import IdealPrf
 from qsgames.rng import BlumMicaliPrng, Rand
 from qsgames.schemes import GoldreichScheme
+from prf_counts import counted_evals
 from skes_blocks import as_ciphertext, as_pair, misseal
 
 
@@ -110,38 +109,13 @@ class TestAccess:
 
 
 class TestCosts:
-    @staticmethod
-    def counted_evals(monkeypatch) -> dict:
-        """Counts of the IdealPrf evaluations made from now on: "all" of
-        them, and those "decoding", made inside SkesCodec.decode_path.
-        The debug checks are off unless the test turns them on."""
-        monkeypatch.setattr(quantum, "DEBUG_CHECKS", False)
-        counts, inside = {"all": 0, "decoding": 0}, [False]
-        evaluate, decode = IdealPrf.eval, SkesCodec.decode_path
-
-        def counted_eval(prf, x):
-            counts["all"] += 1
-            counts["decoding"] += inside[0]
-            return evaluate(prf, x)
-
-        def counted_decode(codec, blocks):
-            inside[0] = True
-            try:
-                return decode(codec, blocks)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(IdealPrf, "eval", counted_eval)
-        monkeypatch.setattr(SkesCodec, "decode_path", counted_decode)
-        return counts
-
     def test_prf_evals_per_access(self, monkeypatch):
         # blocks hold their message and are sealed under F_k(r) only when
         # read: a set-up (124 blocks at n_db=16) evaluates nothing, and an
         # access seals the 20 blocks of the 5 buckets it decodes, one
         # evaluation each, and re-encodes them unread.  Debug mode also
         # decrypts each decoded block, one more evaluation
-        counts = self.counted_evals(monkeypatch)
+        counts = counted_evals(monkeypatch, SkesCodec)
         for debug in (False, True):
             monkeypatch.setattr(quantum, "DEBUG_CHECKS", debug)
             counts.update(all=0, decoding=0)
@@ -170,7 +144,7 @@ class TestCosts:
         block = codec.encode_path([[3, BitString(0xAB, 8)]])[0]
         msg = BitString((3 << 8) | 0xAB, params.n_msg)
         want = as_pair(client.scheme.enc(client.key, msg, r=BitString(block.r, 32)))
-        counts = self.counted_evals(monkeypatch)
+        counts = counted_evals(monkeypatch, SkesCodec)
         first = {"iter": tuple, "eq": lambda b: b == (0, 0), "hash": hash, "repr": repr, "str": str,
                  "decode": lambda b: codec.decode_path([b])}[read]
         first(block)
@@ -193,7 +167,7 @@ class TestCosts:
         pairs = tuple(tuple(block) for block in server.nodes[0])
         server.store(0, pairs, SkesCodec.view(pairs))
         assert all(tuple(block) for idx in path[1:] for block in server.nodes[idx])
-        counts = self.counted_evals(monkeypatch)
+        counts = counted_evals(monkeypatch, SkesCodec)
         oram_access(client, server, DataRequest("read", 1))
         assert client.last_read == BitString(0xAB, 8) and counts["decoding"] == server.n_bkt
         body, r = client.codec.encode_path([[1, BitString(0xAB, 8)]])[0]
@@ -213,7 +187,7 @@ class TestCosts:
         sealed, unsealed = other.codec.encode_path(records), fresh(n_db=16, seed=31)[0].codec.encode_path(records)
         pairs = [as_pair(as_ciphertext(other.scheme, block)) for block in sealed]
         client, _ = fresh(n_db=16, seed=16)
-        counts = self.counted_evals(monkeypatch)
+        counts = counted_evals(monkeypatch, SkesCodec)
 
         def outcome(blocks):
             try:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from prf_counts import counted_evals
 from qoram_blocks import dense_cipher, with_r
 from qsgames import experiments, oram, quantum
 from qsgames.bits import BitString
@@ -160,31 +161,6 @@ class TestCosts:
             requests.append(QuantumDataRequest("write" if payload else "read", rid, payload))
         return requests
 
-    @staticmethod
-    def counted_evals(monkeypatch) -> dict:
-        """Counts of the IdealPrf evaluations made from now on: "all" of
-        them, and those "decoding", made inside QuantumCodec.decode_path.
-        The debug checks are off unless the test turns them on."""
-        monkeypatch.setattr(quantum, "DEBUG_CHECKS", False)
-        counts, inside = {"all": 0, "decoding": 0}, [False]
-        evaluate, decode = IdealPrf.eval, QuantumCodec.decode_path
-
-        def counted_eval(prf, x):
-            counts["all"] += 1
-            counts["decoding"] += inside[0]
-            return evaluate(prf, x)
-
-        def counted_decode(codec, blocks):
-            inside[0] = True
-            try:
-                return decode(codec, blocks)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(IdealPrf, "eval", counted_eval)
-        monkeypatch.setattr(QuantumCodec, "decode_path", counted_decode)
-        return counts
-
     @pytest.mark.parametrize("n_db", [2, 16])
     def test_prf_evals_per_access(self, monkeypatch, n_db):
         # blocks keep their plaintext and are sealed under F_k(r) only when
@@ -192,7 +168,7 @@ class TestCosts:
         # nothing, and the codec decodes its own blocks from their
         # plaintext.  Debug mode also decrypts each decoded block: it seals
         # the block (one evaluation) and unmasks it (one more)
-        counts = self.counted_evals(monkeypatch)
+        counts = counted_evals(monkeypatch, QuantumCodec)
         for debug in (False, True):
             monkeypatch.setattr(quantum, "DEBUG_CHECKS", debug)
             counts.update(all=0, decoding=0)
@@ -209,7 +185,7 @@ class TestCosts:
         # digest, tag or data again costs none
         client, _ = fresh(n_db=n_db, seed=16)
         block = client.codec.encode_path([[1, DensityMatrix.random_mixed(client.params.n_dat, Rand(18))]])[0]
-        counts = self.counted_evals(monkeypatch)
+        counts = counted_evals(monkeypatch, QuantumCodec)
         digest = block.digest()
         assert counts["all"] == 1
         dense_cipher(client.params, block)  # reads the tag and the data
@@ -222,7 +198,7 @@ class TestCosts:
         client, server = fresh(n_db=n_db, seed=16)
         codec, payload = client.codec, DensityMatrix.random_mixed(client.params.n_dat, Rand(18))
         block = codec.encode_path([[1, payload]])[0]
-        counts = self.counted_evals(monkeypatch)
+        counts = counted_evals(monkeypatch, QuantumCodec)
         own = codec.decode_path([block])
         assert counts["decoding"] == 0
         same = codec.decode_path([with_r(block, block.r.value)])
@@ -242,7 +218,7 @@ class TestCosts:
         # n_db.  Building the copies reads, and so seals, the other
         # client's blocks under its own key before the count starts
         foreign = fresh(n_db=n_db, seed=31)[1].nodes[0]
-        counts = self.counted_evals(monkeypatch)
+        counts = counted_evals(monkeypatch, QuantumCodec)
         outcomes = []
         for bucket in (foreign, tuple(with_r(block, block.r.value) for block in foreign)):
             client, server = fresh(n_db=n_db, seed=16)
