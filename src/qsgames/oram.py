@@ -24,7 +24,11 @@ something first reads it (call-by-need; Henderson and Morris, POPL
 one computed at once.  So set-up evaluates no PRF, and an access
 evaluates one for each block it downloads that nobody has read.  The
 position-map generator is pluggable, and its choice is exactly what
-the separation experiments attack.
+the separation experiments attack.  Set-up takes every id's leaf from
+one next_values call of it, the values n_db fresh_leaf calls would
+give in the same order, and stores the whole tree in one store_path
+call, so its generator calls do not grow with n_db; an access remaps
+its id through fresh_leaf.
 
 A bucket's view is what an observer of the server sees of it, built
 by codec.view: a classical bucket is its own view, and a quantum
@@ -100,9 +104,9 @@ class ServerDB:
     bucket (a tuple) of exactly n_bkt blocks, empties included.
 
     views[idx] is the codec's view of nodes[idx], made when the bucket
-    is stored; store() is the only writer, so the two lists never
-    disagree.  snapshot() reads the views alone and is memoized until
-    the next store.
+    is stored; store() and store_path() are the only writers, so the
+    two lists never disagree.  snapshot() reads the views alone and is
+    memoized until the next store.
     """
 
     def __init__(self, n_tree: int, n_bkt: int):
@@ -120,10 +124,15 @@ class ServerDB:
 
     def store_path(self, path, blocks: list, view) -> None:
         """Store blocks, n_bkt to a bucket, at the nodes of path in order;
-        view(bucket) gives each bucket's view."""
-        for i, idx in enumerate(path):
-            bucket = tuple(blocks[i * self.n_bkt:(i + 1) * self.n_bkt])
-            self.store(idx, bucket, view(bucket))
+        view(bucket) gives each bucket's view.  ValueError unless the
+        blocks fill every bucket of the path exactly."""
+        if len(blocks) != len(path) * self.n_bkt:
+            raise ValueError(f"{len(blocks)} blocks do not fill {len(path)} buckets of {self.n_bkt}")
+        nodes, views = self.nodes, self.views
+        for idx, bucket in zip(path, zip(*[iter(blocks)] * self.n_bkt)):
+            nodes[idx] = bucket
+            views[idx] = view(bucket)
+        self._snapshot = None
 
     def path_nodes(self, leaf: int) -> list[int]:
         """Heap indices from the root down to the given leaf."""
@@ -279,15 +288,19 @@ class SkesCodec:
 def tree_init(params: OramParams, rand: Rand, scheme, codec_cls, prng=None):
     """Set up a fresh client/server pair: draw the key, the position-map
     generator (unless given) and the client's randomness from `rand`,
-    map every id to a fresh leaf, then fill the tree with encrypted
-    empties.  Returns (client, server)."""
+    map every id to a leaf from one next_values call (the values n_db
+    fresh_leaf calls would give, in id order), then fill the tree with
+    encrypted empties in one encode_path and one store_path call.
+    Returns (client, server)."""
     key = scheme.key_gen(rand)
     prng = prng or CounterPrfPrng(rand.child())
     client_rand = rand.child()
     codec = codec_cls(params, scheme, key, client_rand)
-    client = ClientState(params, key, {}, prng, client_rand, scheme, codec)
+    tree_mask = (1 << params.n_tree) - 1
+    leaves = [value & tree_mask for value in prng.next_values(params.n_tag, params.n_db)]
+    client = ClientState(params, key, dict(zip(range(1, params.n_db + 1), leaves)), prng, client_rand, scheme,
+                         codec, leaf_log=leaves)
     server = ServerDB(params.n_tree, params.n_bkt)
-    client.position_map = {i: client.fresh_leaf() for i in range(1, params.n_db + 1)}
     server.store_path(range(server.node_count), codec.encode_path([None] * server.node_count * server.n_bkt),
                       codec.view)
     return client, server

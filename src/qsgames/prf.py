@@ -44,10 +44,13 @@ def _hash_bits(keyed, payload: bytes, out_bits: int) -> BitString:
 
 
 class IdealPrf:
-    """Random function {0,1}^in_bits -> {0,1}^out_bits fixed by the key.
+    """Random function {0,1}^in_bits -> {0,1}^out_bits fixed by the key:
+    the first out_bits of the blocks H(b"prf" || x || counter) that
+    _hash_bits gives.
 
-    The key schedule (the keyed blake2b state) is computed once here;
-    each eval hashes on a copy of it.
+    The key schedule, the keyed blake2b state that has absorbed b"prf",
+    is computed once here; each eval hashes on a copy of it.  An output
+    that fits one 512-bit block is one digest, shifted.
     """
 
     def __init__(self, key: BitString, in_bits: int, out_bits: int):
@@ -58,11 +61,17 @@ class IdealPrf:
         self.out_bits = out_bits
         self._in_bytes = (in_bits + 7) // 8
         self._keyed = _keyed_hash(key)
+        self._keyed.update(b"prf")
 
     def eval(self, x: BitString) -> BitString:
         if x.width != self.in_bits:
             raise ValueError(f"input width {x.width} != declared {self.in_bits}")
-        return _hash_bits(self._keyed, b"prf" + x.value.to_bytes(self._in_bytes, "big"), self.out_bits)
+        payload = x.value.to_bytes(self._in_bytes, "big")
+        if self.out_bits > 512:
+            return _hash_bits(self._keyed, payload, self.out_bits)
+        h = self._keyed.copy()
+        h.update(payload + b"\0\0\0\0")  # block counter 0
+        return _unchecked(int.from_bytes(h.digest(), "big") >> (512 - self.out_bits), self.out_bits)
 
 
 def make_prf(key: BitString, in_bits: int, out_bits: int) -> IdealPrf:

@@ -37,6 +37,11 @@ import numpy as np
 from .bits import BitString, _unchecked
 
 
+# one Generator.integers call for an array of words costs about as much
+# as three scalar calls (NumPy 2.4, CPython 3.11)
+_SCALAR_WORDS = 3
+
+
 class Rand:
     """Thin wrapper over numpy Generator with splitting and bit output."""
 
@@ -59,6 +64,26 @@ class Rand:
             val = (val << 32) | int(self._gen.integers(0, 1 << 32))
         # the value fits by construction; the constructor still rejects width < 1
         return _unchecked(val & ((1 << width) - 1), width) if width > 0 else BitString(val, width)
+
+    def bits_batch(self, width: int, count: int) -> list[int]:
+        """The values of `count` calls of bits(width), drawn as those calls
+        draw them, each value's 32-bit words combined high word first.
+        All the words come from one integers call, or, when there are
+        at most _SCALAR_WORDS of them, from one scalar call each, which
+        costs less than building an array."""
+        if width < 1:
+            raise ValueError(f"width must be positive, got {width}")
+        words = (width + 31) // 32
+        n, gen = count * words, self._gen
+        if n <= _SCALAR_WORDS:
+            raw = [int(gen.integers(0, 1 << 32)) for _ in range(n)]
+        else:
+            raw = gen.integers(0, 1 << 32, size=n).tolist()
+        vals = raw[::words]
+        for j in range(1, words):
+            vals = [(val << 32) | word for val, word in zip(vals, raw[j::words])]
+        mask = (1 << width) - 1
+        return [val & mask for val in vals]
 
     def integer(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi)."""
@@ -185,12 +210,15 @@ class BlumMicaliPrng:
         self.emitted_bits = 0
 
     def next_value(self, width: int) -> BitString:
-        bits, self._s = bm_stream_bits(self.p, self.g, self._s, width)
-        self.emitted_bits += width
-        val = 0
-        for b in bits:
-            val = (val << 1) | int(b)
-        return BitString(val, width)
+        return BitString(self.next_values(width, 1)[0], width)
+
+    def next_values(self, width: int, count: int) -> list[int]:
+        """The values of `count` calls of next_value(width), from one run
+        of the bit stream."""
+        bits, self._s = bm_stream_bits(self.p, self.g, self._s, count * width)
+        self.emitted_bits += count * width
+        return [functools.reduce(lambda val, b: (val << 1) | b, row, 0)
+                for row in bits.reshape(count, width).tolist()]
 
     def state(self) -> PrngState:
         return PrngState("BlumMicali", {"p": self.p, "g": self.g, "s": self._s}, self.emitted_bits)
@@ -210,6 +238,11 @@ class CounterPrfPrng:
         # indistinguishable from fresh randomness by construction
         self._counter += 1
         return self._rand.bits(width)
+
+    def next_values(self, width: int, count: int) -> list[int]:
+        """The values of `count` calls of next_value(width), in one draw."""
+        self._counter += count
+        return self._rand.bits_batch(width, count)
 
     def state(self) -> PrngState:
         return PrngState("CounterPrf", {"counter": self._counter}, self._counter)

@@ -49,6 +49,9 @@ def test_bit_indexing_is_msb_first():
     b = BitString(0b1000, 4)
     assert b.bit(0) == 1
     assert [b.bit(i) for i in range(4)] == [1, 0, 0, 0]
+    for i in (4, -1):
+        with pytest.raises(IndexError):
+            b.bit(i)
 
 
 def test_concat_split_take_drop():

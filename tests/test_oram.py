@@ -29,6 +29,23 @@ def fresh(n_db=8, n_dat=8, seed=0, **kw):
     return oram_init(params, Rand(seed), **kw)
 
 
+class CountingGenerator:
+    """A numpy Generator that appends the name of each method called on
+    it to `calls`."""
+
+    def __init__(self, gen, calls: list):
+        self._gen, self._calls = gen, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
 class TestInit:
     def test_tree_shape(self):
         params = OramParams(n_db=8)
@@ -134,6 +151,25 @@ class TestCosts:
             counts.update(all=0, decoding=0)
             oram_access(client, server, DataRequest("read", 1))
             assert counts == {"all": per_access - 20, "decoding": per_access - 20}
+
+    def test_set_up_makes_the_same_generator_calls_at_every_size(self, monkeypatch):
+        # one draw for the key, one for the whole position map and one
+        # for the randomness of every block in the tree, however many ids
+        # and buckets there are
+        calls = []
+        init = Rand.__init__
+
+        def counting_init(rand, seed=0):
+            init(rand, seed)
+            rand._gen = CountingGenerator(rand._gen, calls)
+
+        monkeypatch.setattr(Rand, "__init__", counting_init)
+        seen = {}
+        for n_db in (16, 1024):
+            calls.clear()
+            oram_init(OramParams(n_db=n_db), Rand(5))
+            seen[n_db] = list(calls)
+        assert seen[16] == seen[1024] == ["integers"] * 3
 
     @pytest.mark.parametrize("read", ["iter", "eq", "hash", "repr", "str", "decode"])
     def test_first_read_of_a_block_seals_it_through_one_prf_eval(self, monkeypatch, read):
@@ -267,6 +303,17 @@ class TestInvariants:
         _, _, third = oram_access(client, server, DataRequest("read", 3))
         assert third.pre_db is not second.post_db
         assert third.pre_db == (root,) + second.post_db[1:] != second.post_db
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_store_path_needs_one_full_bucket_per_node(self, extra):
+        # a block list that does not fill the path's buckets exactly is
+        # refused, and nothing is stored
+        client, server = fresh(n_db=16, seed=21)
+        path, before = server.path_nodes(0), server.snapshot()
+        blocks = client.codec.encode_path([None] * (len(path) * server.n_bkt + extra))
+        with pytest.raises(ValueError, match=f"{20 + extra} blocks do not fill 5 buckets of 4"):
+            server.store_path(path, blocks, client.codec.view)
+        assert server.snapshot() is before
 
     def test_stash_stays_small(self):
         client, server = fresh(n_db=64, seed=7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsgames.bits import BitString
-from qsgames.prf import IdealPrf, Permutation, make_prf, sample_ideal_qprp
+from qsgames.prf import IdealPrf, Permutation, _hash_bits, _keyed_hash, make_prf, sample_ideal_qprp
 from qsgames.rng import Rand
 
 
@@ -36,6 +36,17 @@ class TestIdealPrf:
                 got = prf.eval(x)
                 assert got.width == out_bits
                 assert got.value == keyed_constructor_eval(key, in_bits, out_bits, x)
+
+    @pytest.mark.parametrize("out_bits", [1, 13, 512, 513, 1024])
+    def test_one_block_and_wide_outputs_match_hash_bits(self, out_bits):
+        # outputs up to 512 bits are one shifted digest; wider ones still
+        # go through _hash_bits, the block loop sample_ideal_qprp uses
+        rand = Rand(out_bits)
+        key = rand.bits(40)
+        prf = make_prf(key, 20, out_bits)
+        for _ in range(4):
+            x = rand.bits(20)
+            assert prf.eval(x) == _hash_bits(_keyed_hash(key), b"prf" + x.value.to_bytes(3, "big"), out_bits)
 
     @pytest.mark.parametrize("in_bits,out_bits", [(0, 8), (8, 0), (-1, 8), (8, -3)])
     def test_rejects_widths_below_one(self, in_bits, out_bits):

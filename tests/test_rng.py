@@ -121,6 +121,31 @@ class TestRand:
         assert all(lo <= v < hi for v in vals) and max(vals) - lo > 2 << 62  # reaches the top third
 
 
+class TestBatchedDraws:
+    @pytest.mark.parametrize("count", [0, 1, 17])
+    @pytest.mark.parametrize("width", [1, 5, 32, 33, 64, 96])
+    def test_bits_batch_draws_as_a_bits_loop(self, width, count):
+        batched, looped = Rand(21), Rand(21)
+        values = batched.bits_batch(width, count)
+        assert values == [looped.bits(width).value for _ in range(count)]
+        assert all(type(value) is int for value in values)
+        assert batched.bits(width) == looped.bits(width)
+
+    def test_bits_batch_rejects_width_below_one(self):
+        with pytest.raises(ValueError, match="width must be positive, got 0"):
+            Rand(21).bits_batch(0, 3)
+
+    @pytest.mark.parametrize("count", [0, 1, 17])
+    @pytest.mark.parametrize("make", [lambda: CounterPrfPrng(Rand(22)), lambda: BlumMicaliPrng(65537, 3, 4242)],
+                             ids=["counter-prf", "blum-micali"])
+    def test_next_values_match_a_next_value_loop(self, make, count):
+        batched, looped = make(), make()
+        for width in (1, 5, 11, 33):
+            assert batched.next_values(width, count) == [looped.next_value(width).value for _ in range(count)]
+            assert batched.state() == looped.state()
+        assert batched.next_value(7) == looped.next_value(7)
+
+
 class TestBlumMicali:
     def test_step_examples(self):
         _, s = bm_stream_bits(23, 5, 3, 1)
