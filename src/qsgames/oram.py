@@ -104,9 +104,9 @@ class ServerDB:
     bucket (a tuple) of exactly n_bkt blocks, empties included.
 
     views[idx] is the codec's view of nodes[idx], made when the bucket
-    is stored; store() and store_path() are the only writers, so the
-    two lists never disagree.  snapshot() reads the views alone and is
-    memoized until the next store.
+    is stored; store_path() is the only writer, so the two lists never
+    disagree.  snapshot() reads the views alone and is memoized until
+    the next store.
     """
 
     def __init__(self, n_tree: int, n_bkt: int):
@@ -116,11 +116,6 @@ class ServerDB:
         self.nodes: list[tuple] = [()] * self.node_count
         self.views: list = [()] * self.node_count
         self._snapshot: tuple | None = None
-
-    def store(self, idx: int, bucket: tuple, view) -> None:
-        self.nodes[idx] = bucket
-        self.views[idx] = view
-        self._snapshot = None
 
     def store_path(self, path, blocks: list, view) -> None:
         """Store blocks, n_bkt to a bucket, at the nodes of path in order;
@@ -244,7 +239,7 @@ class SkesCodec:
     A block this codec made decodes as body ^ pad, sealing it first if
     nobody has read it; under QSGAMES_DEBUG its body is also decrypted
     through F_k(r) and must give its message.  Any other block (a pair
-    stored through ServerDB.store, a tampered block, another client's)
+    stored through ServerDB.store_path, a tampered block, another client's)
     is decrypted under this client's key.
     """
 

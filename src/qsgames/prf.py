@@ -49,8 +49,7 @@ class IdealPrf:
     _hash_bits gives.
 
     The key schedule, the keyed blake2b state that has absorbed b"prf",
-    is computed once here; each eval hashes on a copy of it.  An output
-    that fits one 512-bit block is one digest, shifted.
+    is computed once here; each eval hashes on a copy of it.
     """
 
     def __init__(self, key: BitString, in_bits: int, out_bits: int):
@@ -66,12 +65,7 @@ class IdealPrf:
     def eval(self, x: BitString) -> BitString:
         if x.width != self.in_bits:
             raise ValueError(f"input width {x.width} != declared {self.in_bits}")
-        payload = x.value.to_bytes(self._in_bytes, "big")
-        if self.out_bits > 512:
-            return _hash_bits(self._keyed, payload, self.out_bits)
-        h = self._keyed.copy()
-        h.update(payload + b"\0\0\0\0")  # block counter 0
-        return _unchecked(int.from_bytes(h.digest(), "big") >> (512 - self.out_bits), self.out_bits)
+        return _hash_bits(self._keyed, x.value.to_bytes(self._in_bytes, "big"), self.out_bits)
 
 
 def make_prf(key: BitString, in_bits: int, out_bits: int) -> IdealPrf:

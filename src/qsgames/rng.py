@@ -37,11 +37,6 @@ import numpy as np
 from .bits import BitString, _unchecked
 
 
-# one Generator.integers call for an array of words costs about as much
-# as three scalar calls (NumPy 2.4, CPython 3.11)
-_SCALAR_WORDS = 3
-
-
 class Rand:
     """Thin wrapper over numpy Generator with splitting and bit output."""
 
@@ -68,17 +63,11 @@ class Rand:
     def bits_batch(self, width: int, count: int) -> list[int]:
         """The values of `count` calls of bits(width), drawn as those calls
         draw them, each value's 32-bit words combined high word first.
-        All the words come from one integers call, or, when there are
-        at most _SCALAR_WORDS of them, from one scalar call each, which
-        costs less than building an array."""
+        All the words come from one integers call."""
         if width < 1:
             raise ValueError(f"width must be positive, got {width}")
         words = (width + 31) // 32
-        n, gen = count * words, self._gen
-        if n <= _SCALAR_WORDS:
-            raw = [int(gen.integers(0, 1 << 32)) for _ in range(n)]
-        else:
-            raw = gen.integers(0, 1 << 32, size=n).tolist()
+        raw = self._gen.integers(0, 1 << 32, size=count * words).tolist()
         vals = raw[::words]
         for j in range(1, words):
             vals = [(val << 32) | word for val, word in zip(vals, raw[j::words])]

@@ -193,7 +193,7 @@ class TestCosts:
         assert counts["all"] == 1
 
     def test_stored_pairs_decode_through_one_prf_eval_each(self, monkeypatch):
-        # a plain (body, r) pair stored through ServerDB.store is not a block
+        # a plain (body, r) pair stored through ServerDB.store_path is not a block
         # the codec made: it is decrypted under F_k(r), one evaluation, and
         # a tag above n_db still aborts.  The root's blocks become pairs and
         # the rest of the path is read, so sealed, beforehand
@@ -201,7 +201,7 @@ class TestCosts:
         oram_access(client, server, DataRequest("write", 1, BitString(0xAB, 8)))
         path = server.path_nodes(client.position_map[1])
         pairs = tuple(tuple(block) for block in server.nodes[0])
-        server.store(0, pairs, SkesCodec.view(pairs))
+        server.store_path([0], list(pairs), SkesCodec.view)
         assert all(tuple(block) for idx in path[1:] for block in server.nodes[idx])
         counts = counted_evals(monkeypatch, SkesCodec)
         oram_access(client, server, DataRequest("read", 1))
@@ -299,7 +299,7 @@ class TestInvariants:
         assert second.pre_db is first.post_db
         assert second.post_db is not second.pre_db and second.post_db == tuple(server.views)
         root = server.nodes[0][::-1]
-        server.store(0, root, root)
+        server.store_path([0], list(root), SkesCodec.view)
         _, _, third = oram_access(client, server, DataRequest("read", 3))
         assert third.pre_db is not second.post_db
         assert third.pre_db == (root,) + second.post_db[1:] != second.post_db
@@ -394,7 +394,7 @@ class TestSoundness:
                 if msg.take(client.params.n_tag).value == target_id:
                     mask = 1 << (msg.width - 1) if flip_tag else 1  # top tag bit, or lowest data bit
                     new = bucket[:j] + ((body ^ mask, r),) + bucket[j + 1:]
-                    server.store(idx, new, SkesCodec.view(new))
+                    server.store_path([idx], list(new), SkesCodec.view)
                     return True
         return False
 

@@ -83,7 +83,7 @@ class ClassicalOramModel(RuleBasedStateMachine):
         library = [list(bucket) for bucket in self.server.nodes]
         edit(library)
         for idx, bucket in enumerate(map(tuple, library)):
-            self.server.store(idx, bucket, self.client.codec.view(bucket))
+            self.server.store_path([idx], list(bucket), self.client.codec.view)
         reference = [[as_pair(c) for c in bucket] for bucket in self.ref_server.nodes]
         edit(reference)
         scheme = self.ref_client.scheme
@@ -195,7 +195,7 @@ class QuantumOramModel(RuleBasedStateMachine):
             edit(buckets, retag)
             for idx, bucket in enumerate(map(tuple, buckets)):
                 if any(a is not b for a, b in zip(bucket, server.nodes[idx])):
-                    server.store(idx, bucket, client.codec.view(bucket))
+                    server.store_path([idx], list(bucket), client.codec.view)
         self.tampered = True
 
     @rule(raw_id=index, raw=index, r=st.integers(0, (1 << 20) - 1))

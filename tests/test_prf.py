@@ -38,9 +38,9 @@ class TestIdealPrf:
                 assert got.value == keyed_constructor_eval(key, in_bits, out_bits, x)
 
     @pytest.mark.parametrize("out_bits", [1, 13, 512, 513, 1024])
-    def test_one_block_and_wide_outputs_match_hash_bits(self, out_bits):
-        # outputs up to 512 bits are one shifted digest; wider ones still
-        # go through _hash_bits, the block loop sample_ideal_qprp uses
+    def test_eval_matches_hash_bits_on_the_prefixed_payload(self, out_bits):
+        # eval hashes on a key state that has already absorbed b"prf";
+        # outputs above 512 bits take more than one block
         rand = Rand(out_bits)
         key = rand.bits(40)
         prf = make_prf(key, 20, out_bits)

@@ -103,7 +103,7 @@ class TestAccess:
         client, server = fresh()
         leaf_bucket = server.path_nodes(client.position_map[1])[-1]
         bad = client.codec.encode_path([[3, DensityMatrix.basis(1, 0)]]) + list(server.nodes[leaf_bucket][1:])
-        server.store(leaf_bucket, tuple(bad), client.codec.view(bad))
+        server.store_path([leaf_bucket], bad, client.codec.view)
         gen = client.rand.numpy()
         expected = np.random.Generator(np.random.PCG64())
         expected.bit_generator.state = gen.bit_generator.state
@@ -222,7 +222,7 @@ class TestCosts:
         outcomes = []
         for bucket in (foreign, tuple(with_r(block, block.r.value) for block in foreign)):
             client, server = fresh(n_db=n_db, seed=16)
-            server.store(0, bucket, client.codec.view(bucket))
+            server.store_path([0], list(bucket), client.codec.view)
             counts["decoding"] = 0
             try:
                 qoram_access(client, server, QuantumDataRequest("read", 1))
