@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rng import Rand, dlog_bruteforce, is_prime
+from .rng import Rand, is_prime
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,6 @@ def special_soundness_extract(group: SchnorrGroup, x: int, t1: SigmaTranscript, 
     num = (t1.resp - t2.resp) % group.q
     den = pow((t1.ch - t2.ch) % group.q, -1, group.q)
     return (num * den) % group.q
-
-
-def hvzk_simulate(group: SchnorrGroup, x: int, rand: Rand) -> SigmaTranscript:
-    """Transcript without the witness: sample ch and resp, solve for com."""
-    ch = rand.integer(0, group.q)
-    resp = rand.integer(0, group.q)
-    x_inv = pow(x, -1, group.p)
-    com = (pow(group.g, resp, group.p) * pow(x_inv, ch, group.p)) % group.p
-    return SigmaTranscript(com, ch, resp)
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +197,6 @@ def lambda_commit(group: SchnorrGroup, x: int, r: int) -> int:
     if not 0 <= r < group.q:
         raise ValueError("commitment coins out of range")
     return pow(group.g, r, group.p)
-
-
-def lambda_smplrnd(group: SchnorrGroup, x: int, com: int) -> int:
-    """Recover coins with g^r = com by brute force (toy sizes only)."""
-    r = dlog_bruteforce(group.p, group.g, com)
-    if r >= group.q:
-        raise ValueError("commitment outside the subgroup")
-    return r
-
-
-def lambda_round(inst: HardInstance, rand: Rand) -> tuple[int, SigmaTranscript]:
-    """One oblivious-commitment protocol run: the verifier draws the
-    coins and the commitment, the prover answers via SmplRnd."""
-    group = inst.group
-    r = rand.integer(0, group.q)
-    com = lambda_commit(group, inst.x, r)
-    ch = rand.integer(0, group.q)
-    coins = lambda_smplrnd(group, inst.x, com)
-    resp = schnorr_respond(inst, coins, ch)
-    return r, SigmaTranscript(com, ch, resp)
 
 
 def fs_lambda_sign(inst: HardInstance, m, oracle: RandomOracleTable, rand: Rand) -> FsSignature:

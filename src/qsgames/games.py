@@ -375,15 +375,3 @@ class RandomForger:
         p = self._scheme.group.p
         first = rand.integer(1, p) if self._scheme.form == "sigma" else rand.integer(0, q)
         return "fresh message", FsSignature(self._scheme.form, first, rand.integer(0, q))
-
-
-class KeyForger:
-    """Sanity check: given the secret key out of band, forging is free."""
-
-    def __init__(self, sig_scheme, sk):
-        self._scheme = sig_scheme
-        self._sk = sk
-
-    def forge(self, pk, sign_oracle, ro, rand: Rand):
-        m = "never queried"
-        return m, self._scheme.sign(self._sk, m, ro, rand)

@@ -34,15 +34,15 @@ A bucket's view is what an observer of the server sees of it, built
 by codec.view: a classical bucket is its own view, and a quantum
 bucket's view digests each block only when someone reads it.  The
 server keeps each bucket's view beside it, and snapshots, the
-transcript's down/up views and the tree digest read views alone.
+transcript's down/up views and the tree digests read views alone.
 tree_access returns an AccessPattern, the server's snapshots before
 and after the access around its transcript, for either ORAM; both
 access-pattern games hand it to the adversary.  Coding touches one
 path per access.  The first snapshot() after a store copies the list
 of views, which is memoized until the next store, so an access's
 before snapshot is the previous access's after snapshot; the tree
-digest hashes every view of a snapshot, so it is left to whoever
-reads it.
+digests of AccessPattern.to_json hash every view of a snapshot, so
+they are left to whoever reads them.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ class ServerDB:
         if self._snapshot is None:
             self._snapshot = tuple(self.views)
         return self._snapshot
-
-
-def views_digest(snapshot: tuple) -> int:
-    """FNV-1a over every block view of a snapshot, in heap order."""
-    return fnv1a64("".join(str(v) for view in snapshot for v in view).encode())
 
 
 def fnv1a64(data: bytes) -> int:
@@ -376,68 +371,6 @@ def oram_access(client: ClientState, server: ServerDB, dr: DataRequest):
     pattern = tree_access(client, server, dr.id, read_write)
     client.stash_history.append(len(client.stash))
     return client, server, pattern
-
-
-# ---------------------------------------------------------------------------
-# soundness checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TraceStep:
-    dr: DataRequest
-    returned: BitString | None
-    key_before: object
-    key_after: object
-    aborted: bool = False
-
-
-@dataclass
-class SoundnessReport:
-    steps: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def run_trace(client: ClientState, server: ServerDB, requests: list[DataRequest]) -> list[TraceStep]:
-    steps = []
-    for dr in requests:
-        key_before = client.key
-        try:
-            oram_access(client, server, dr)
-            returned = client.last_read if dr.op == "read" else None
-            steps.append(TraceStep(dr, returned, key_before, client.key))
-        except ProtocolAbort:
-            steps.append(TraceStep(dr, None, key_before, client.key, aborted=True))
-    return steps
-
-
-def check_minimal_soundness(trace: list[TraceStep]) -> SoundnessReport:
-    """Replay a trace against a shadow store and list every violation of
-    key retention, read-returns-stored-data, and write-persistence."""
-    shadow: dict[int, BitString] = {}
-    violations = []
-    for i, step in enumerate(trace):
-        if step.key_after != step.key_before:
-            violations.append((i, "key", "client key changed during access"))
-        if step.aborted:
-            violations.append((i, "abort", f"access {step.dr} aborted on malformed block"))
-            continue
-        if step.dr.op == "write":
-            shadow[step.dr.id] = step.dr.data
-        else:
-            expected = shadow.get(step.dr.id)
-            if expected is None:
-                if step.returned is None or step.returned.value != 0:
-                    violations.append((i, "read", f"fresh id {step.dr.id} returned {step.returned}"))
-            elif step.returned != expected:
-                violations.append(
-                    (i, "read", f"id {step.dr.id} returned {step.returned}, stored {expected}")
-                )
-    return SoundnessReport(len(trace), violations)
 
 
 def diff_nodes(pre: tuple, post: tuple) -> list[int]:

@@ -10,10 +10,10 @@ ever copied.
 
 The client, its set-up, the access protocol and the request type are
 oram's (ClientState, tree_init, tree_access, DataRequest, whose data is
-the payload register here); this module supplies the block
-format (QuantumCodec), the swap step and the safe extractor.  An
-access returns oram.AccessPattern, as a classical one does, its
-snapshots and down/up views block digests.
+the payload register here); this module supplies the block format
+(QuantumCodec) and the swap step.  An access returns
+oram.AccessPattern, as a classical one does, its snapshots and down/up
+views block digests.
 
 Blocks are stored in product form.  A plaintext block is |t><t| (x) rho,
 and a Pauli mask X^a Z^b keeps that form: the Z signs cancel on the
@@ -35,22 +35,20 @@ changes and nobody writes a register in place, so a value read late
 equals one computed at once.  Bucket views, snapshots and transcripts
 hold BlockDigests, so the access-pattern game seals and digests only the
 blocks its adversary reads, and the codec decodes its own blocks from
-their plaintext with no PRF evaluation.  The safe extractor's report is
-a plain dict, computed when it is made.
+their plaintext with no PRF evaluation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from collections.abc import Sequence
 
 import numpy as np
 
 from . import quantum
 from .bits import BitString, _unchecked
-from .oram import (ClientState, DataRequest, DecryptionMismatch, OramParams, ProtocolAbort, ServerDB, Transcript,
-                   tree_access, tree_init, views_digest)
+from .oram import (ClientState, DataRequest, DecryptionMismatch, OramParams, ProtocolAbort, ServerDB, tree_access,
+                   tree_init)
 from .prf import make_prf
 from .qscheme import Skqes1Scheme
 from .quantum import DensityMatrix, _check_density_cap, qotp_apply
@@ -245,24 +243,3 @@ def qoram_access(client: ClientState, server: ServerDB, qdr: DataRequest):
         return None
 
     return client, server, tree_access(client, server, qdr.id, swap)
-
-
-# ---------------------------------------------------------------------------
-# safe extraction
-# ---------------------------------------------------------------------------
-
-
-def safe_extractor_default(transcript: Transcript | None, server: ServerDB) -> dict:
-    """Identity-action extractor: classical channel contents plus
-    ciphertext-register digests; data registers are never measured and
-    the joint state is untouched, so repeated runs agree bit for bit.
-    The report holds the tree digest and, given a transcript, its leaf
-    and its down and up digests."""
-    report = {"db_digest": views_digest(server.snapshot())}
-    if transcript is not None:
-        report.update(leaf=transcript.leaf, down=list(transcript.down), up=list(transcript.up))
-    return report
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)

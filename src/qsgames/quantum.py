@@ -416,17 +416,6 @@ def qotp_apply(key: BitString, state, targets: list[int] | None = None):
     return _same_kind(state, out, DEBUG_CHECKS)
 
 
-def qotp_average(state: DensityMatrix) -> DensityMatrix:
-    """Exact average of the Pauli mask over all 4**n keys."""
-    n = state.n_qubits
-    dim = 1 << n
-    acc = np.zeros((dim, dim), dtype=complex)
-    for key_val in range(1 << (2 * n)):
-        key = BitString(key_val, 2 * n)
-        acc += qotp_apply(key, state).mat
-    return DensityMatrix(n, acc / (1 << (2 * n)), check=False)
-
-
 # ---------------------------------------------------------------------------
 # partial trace, trace distance, measurement
 # ---------------------------------------------------------------------------
@@ -615,20 +604,3 @@ def _attach_ancilla(rho: DensityMatrix, env: int, r_bits: int) -> DensityMatrix:
     anc[0, 0] = 1.0
     out = np.einsum("aibj,kl->aikbjl", rho.mat.reshape(de, dm, de, dm), anc)
     return DensityMatrix(rho.n_qubits + r_bits, out.reshape(de * dm * dr, -1), check=False)
-
-
-def exact_perm_average(rho: DensityMatrix, r_bits: int) -> DensityMatrix:
-    """Exhaustive enumeration over every permutation (tiny dimensions only)."""
-    from itertools import permutations
-
-    c = rho.n_qubits + r_bits
-    n_c = 1 << c
-    if n_c > 8:
-        raise ValueError("exhaustive enumeration is limited to 3 total qubits")
-    attached = _attach_ancilla(rho, 0, r_bits)
-    acc = np.zeros_like(attached.mat)
-    count = 0
-    for perm in permutations(range(n_c)):
-        acc += apply_gate(attached, Permutation(c, perm), list(range(c))).mat
-        count += 1
-    return DensityMatrix(c, acc / count, check=False)

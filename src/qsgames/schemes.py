@@ -206,50 +206,6 @@ def _xor_index(bits: int, mask: int):
     return np.arange(1 << bits, dtype=np.int64) ^ mask
 
 
-class PrpModeScheme:
-    """Blockwise mode: l independent PrpScheme blocks, fresh r per block."""
-
-    def __init__(self, block: PrpScheme, blocks: int):
-        self.name = "skes-prp-mode"
-        self.block = block
-        self.blocks = blocks
-        self.msg_bits = block.msg_bits * blocks
-        self.key_bits = block.key_bits
-
-    def key_gen(self, rand: Rand) -> BitString:
-        return self.block.key_gen(rand)
-
-    def enc(self, key: BitString, m: BitString, rand: Rand = None, r: list[BitString] | None = None) -> Ciphertext:
-        if m.width != self.msg_bits:
-            raise ValueError(f"message width {m.width} != {self.msg_bits}")
-        if r is not None and len(r) != self.blocks:
-            raise ValueError(f"expected {self.blocks} pinned randomness values, one per block, got {len(r)}")
-        parts = []
-        rest = m
-        for i in range(self.blocks):
-            chunk = rest.take(self.block.msg_bits) if rest.width > self.block.msg_bits else rest
-            if rest.width > self.block.msg_bits:
-                rest = rest.drop(self.block.msg_bits)
-            ri = None if r is None else r[i]
-            parts.append(self.block.enc(key, chunk, rand=rand, r=ri).body)
-        body = parts[0]
-        for pt in parts[1:]:
-            body = body.concat(pt)
-        return Ciphertext(self.name, body)
-
-    def dec(self, key: BitString, c: Ciphertext) -> BitString:
-        cb = self.block.cipher_bits
-        rest = c.body
-        out = None
-        for i in range(self.blocks):
-            chunk = rest.take(cb) if rest.width > cb else rest
-            if rest.width > cb:
-                rest = rest.drop(cb)
-            m = self.block.dec(key, Ciphertext(self.block.name, chunk))
-            out = m if out is None else out.concat(m)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # CPA-but-not-CCA1 counterexample
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ import numpy as np
 from qsgames import experiments
 from qsgames.bits import BitString
 from qsgames.oram import DataRequest, OramParams, oram_access, oram_init
-from qsgames.qoram import QuantumDataRequest, qoram_access, qoram_init, report_json, safe_extractor_default
+from qsgames.qoram import QuantumDataRequest, qoram_access, qoram_init
 from qsgames.quantum import DensityMatrix
 from qsgames.rng import BlumMicaliPrng, Rand
+from oracles import report_json, safe_extractor_default
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SEED = 11

@@ -8,8 +8,14 @@ tests/test_oram_model.py runs it in lockstep with the library and
 requires the same views, stash, reads, aborts and generator states.
 
 It is the reference the library is checked against, so it is never
-edited to follow the library.  It imports only the bit strings, the
+edited to follow the library.  It uses only the bit strings, the
 generators and the schemes.
+
+The soundness replay at the end is the one part that drives the
+library: run_trace runs qsgames.oram's oram_access over a list of
+requests, and check_minimal_soundness replays the trace against a
+shadow store and lists every violation of key retention,
+read-returns-stored-data and write-persistence.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from qsgames.bits import BitString
+from qsgames.oram import ClientState, DataRequest, ProtocolAbort, ServerDB, oram_access
 from qsgames.rng import CounterPrfPrng, Rand
 from qsgames.schemes import Ciphertext, GoldreichScheme
 
@@ -156,3 +163,65 @@ def reference_access(client: ReferenceClient, server: ReferenceServer, op: str, 
         bucket += tuple(client.empty() for _ in range(client.n_bkt - len(bucket)))
         server.nodes[idx] = bucket
     return leaf, down, server.path_view(path)
+
+
+# ---------------------------------------------------------------------------
+# soundness replay
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class TraceStep:
+    dr: DataRequest
+    returned: BitString | None
+    key_before: object
+    key_after: object
+    aborted: bool = False
+
+
+@dataclass
+class SoundnessReport:
+    steps: int
+    violations: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def run_trace(client: ClientState, server: ServerDB, requests: list[DataRequest]) -> list[TraceStep]:
+    steps = []
+    for dr in requests:
+        key_before = client.key
+        try:
+            oram_access(client, server, dr)
+            returned = client.last_read if dr.op == "read" else None
+            steps.append(TraceStep(dr, returned, key_before, client.key))
+        except ProtocolAbort:
+            steps.append(TraceStep(dr, None, key_before, client.key, aborted=True))
+    return steps
+
+
+def check_minimal_soundness(trace: list[TraceStep]) -> SoundnessReport:
+    """Replay a trace against a shadow store and list every violation of
+    key retention, read-returns-stored-data, and write-persistence."""
+    shadow: dict[int, BitString] = {}
+    violations = []
+    for i, step in enumerate(trace):
+        if step.key_after != step.key_before:
+            violations.append((i, "key", "client key changed during access"))
+        if step.aborted:
+            violations.append((i, "abort", f"access {step.dr} aborted on malformed block"))
+            continue
+        if step.dr.op == "write":
+            shadow[step.dr.id] = step.dr.data
+        else:
+            expected = shadow.get(step.dr.id)
+            if expected is None:
+                if step.returned is None or step.returned.value != 0:
+                    violations.append((i, "read", f"fresh id {step.dr.id} returned {step.returned}"))
+            elif step.returned != expected:
+                violations.append(
+                    (i, "read", f"id {step.dr.id} returned {step.returned}, stored {expected}")
+                )
+    return SoundnessReport(len(trace), violations)

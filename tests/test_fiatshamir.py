@@ -4,6 +4,7 @@ import pytest
 from qsgames.fiatshamir import (
     SIGN_GROUP,
     TOY_GROUP,
+    FsSignature,
     FsSigScheme,
     HardInstance,
     RandomOracleTable,
@@ -13,11 +14,8 @@ from qsgames.fiatshamir import (
     fs_lambda_verify,
     fs_sign,
     fs_verify,
-    hvzk_simulate,
     inst_gen,
     lambda_commit,
-    lambda_round,
-    lambda_smplrnd,
     run_honest,
     schnorr_commit,
     schnorr_respond,
@@ -26,6 +24,7 @@ from qsgames.fiatshamir import (
     special_soundness_extract,
 )
 from qsgames.rng import Rand
+from oracles import hvzk_simulate, lambda_round, lambda_smplrnd
 
 
 class TestGroupAndInstances:
@@ -264,8 +263,6 @@ class TestLambda:
         rejected = 0
         for i in range(100):
             sig = fs_lambda_sign(inst, f"m{i}", oracle, r)
-            from qsgames.fiatshamir import FsSignature
-
             bad = FsSignature("lambda", (sig.first + 1) % SIGN_GROUP.q, sig.resp)
             rejected += not fs_lambda_verify(SIGN_GROUP, inst.x, f"m{i}", bad, oracle)
         assert rejected >= 99  # fails except when the fresh challenge happens to fit
@@ -292,3 +289,17 @@ def test_sig_scheme_adapter_forms():
         assert sig.form == form
     with pytest.raises(ValueError):
         FsSigScheme(form="other")
+
+
+def test_each_verifier_rejects_the_other_form():
+    # relabelled, each signature's components still verify in the form
+    # they were made in, so only the form check rejects them
+    r = Rand(25)
+    oracle = RandomOracleTable(SIGN_GROUP.q, r.child())
+    inst = inst_gen(SIGN_GROUP, r)
+    sigma = fs_sign(inst, "m", oracle, r)
+    lam = fs_lambda_sign(inst, "m", oracle, r)
+    assert fs_verify(SIGN_GROUP, inst.x, "m", sigma, oracle)
+    assert fs_lambda_verify(SIGN_GROUP, inst.x, "m", lam, oracle)
+    assert not fs_verify(SIGN_GROUP, inst.x, "m", FsSignature("lambda", sigma.first, sigma.resp), oracle)
+    assert not fs_lambda_verify(SIGN_GROUP, inst.x, "m", FsSignature("sigma", lam.first, lam.resp), oracle)

@@ -10,16 +10,14 @@ from qsgames.oram import (
     OramParams,
     ProtocolAbort,
     SkesCodec,
-    TraceStep,
     _common_depth,
-    check_minimal_soundness,
     diff_nodes,
     oram_access,
     oram_init,
-    run_trace,
 )
 from qsgames.rng import BlumMicaliPrng, Rand
 from qsgames.schemes import GoldreichScheme
+from oram_reference import TraceStep, check_minimal_soundness, run_trace
 from prf_counts import counted_evals
 from skes_blocks import as_ciphertext, as_pair, misseal
 

@@ -22,12 +22,9 @@ from qsgames.oram import (
     DataRequest,
     OramParams,
     Transcript,
-    check_minimal_soundness,
     fnv1a64,
     oram_access,
     oram_init,
-    run_trace,
-    views_digest,
 )
 from qsgames.prf import Permutation
 from qsgames.qoram import QuantumDataRequest, qoram_access, qoram_init
@@ -40,7 +37,6 @@ from qsgames.quantum import (
     maximally_mixed,
     measure_computational,
     qotp_apply,
-    qotp_average,
     trace_distance,
     type1_from_type2,
     type1_oracle,
@@ -48,6 +44,8 @@ from qsgames.quantum import (
     type2_oracle,
 )
 from qsgames.rng import Rand, TableCache
+from oracles import qotp_average, views_digest
+from oram_reference import check_minimal_soundness, run_trace
 from qoram_blocks import dense_cipher, sealed_afresh, with_r
 from skes_blocks import as_ciphertext, as_pair
 

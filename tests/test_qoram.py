@@ -3,21 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from oracles import report_json, safe_extractor_default, views_digest
 from prf_counts import counted_evals
 from qoram_blocks import dense_cipher, with_r
 from qsgames import experiments, oram, quantum
 from qsgames.bits import BitString
-from qsgames.oram import DecryptionMismatch, OramParams, ProtocolAbort, views_digest
+from qsgames.oram import DecryptionMismatch, OramParams, ProtocolAbort
 from qsgames.prf import IdealPrf
-from qsgames.qoram import (
-    QuantumBlock,
-    QuantumCodec,
-    QuantumDataRequest,
-    qoram_access,
-    qoram_init,
-    report_json,
-    safe_extractor_default,
-)
+from qsgames.qoram import QuantumBlock, QuantumCodec, QuantumDataRequest, qoram_access, qoram_init
 from qsgames.quantum import DensityMatrix, partial_trace, trace_distance
 from qsgames.rng import Rand
 

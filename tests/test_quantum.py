@@ -19,12 +19,10 @@ from qsgames.quantum import (
     avg_perm_channel,
     avg_perm_channel_sampled,
     build_from_description,
-    exact_perm_average,
     maximally_mixed,
     measure_computational,
     partial_trace,
     qotp_apply,
-    qotp_average,
     trace_distance,
     type1_from_type2,
     type1_oracle,
@@ -33,6 +31,7 @@ from qsgames.quantum import (
 )
 from qsgames.rng import Rand
 from qsgames.schemes import GoldreichScheme, OtpScheme, PrpScheme
+from oracles import exact_perm_average, qotp_average
 
 
 class TestGates:

@@ -17,7 +17,6 @@ from qsgames.schemes import (
     OtpScheme,
     OwpHandle,
     PkesOwtpScheme,
-    PrpModeScheme,
     PrpScheme,
     goldreich_levin_prng,
     owtp_eval,
@@ -160,25 +159,6 @@ class TestPrpScheme:
         k = scheme.key_gen(Rand(8))
         c = scheme.enc(k, BitString(0b101, 3), r=BitString(0, 2))
         assert c.body == BitString(0b10100, 5)
-
-    def test_blockwise_mode(self):
-        block = PrpScheme(3, 3)
-        scheme = PrpModeScheme(block, 3)
-        r = Rand(9)
-        k = scheme.key_gen(r)
-        m = r.bits(9)
-        assert scheme.dec(k, scheme.enc(k, m, rand=r)) == m
-
-    def test_blockwise_mode_needs_one_pinned_r_per_block(self):
-        scheme = PrpModeScheme(PrpScheme(2, 1), 2)
-        k = scheme.key_gen(Rand(10))
-        m = BitString(0b1001, 4)
-        pinned = [BitString(1, 1), BitString(0, 1)]
-        halves = [scheme.block.enc(k, BitString(v, 2), r=ri).body for v, ri in zip((0b10, 0b01), pinned)]
-        assert scheme.enc(k, m, r=pinned).body == halves[0].concat(halves[1])
-        for wrong in (pinned + [BitString(1, 1)], pinned[:1]):
-            with pytest.raises(ValueError, match=f"expected 2 pinned randomness values, one per block, got {len(wrong)}"):
-                scheme.enc(k, m, r=wrong)
 
 
 class TestCca1Sep:
